@@ -1,4 +1,4 @@
-"""Fault-injection engines for the rack simulator (oracle + vectorized).
+"""Fault-injection engines for the rack simulator (oracle + kernel).
 
 Both engines simulate the same perturbed dynamics: a
 :class:`~repro.cluster.faults.FaultTimeline` steps fleet capacity up and
@@ -14,28 +14,32 @@ simulator's ``arrival < tick < completion`` rule:
     fault < timeout < arrival (trace before injected) < tick < completion
 
 with completions tie-broken by start order, exactly as the event queue's
-insertion order resolves them in the fault-free oracle.  Shared
-semantics, implemented twice:
+insertion order resolves them in the fault-free oracle.  One reference
+oracle, one chunked kernel:
 
 - :func:`run_chaos_event` — the reference oracle: one explicit
   ``(time, rank, counter)`` heap, a
   :class:`~repro.cluster.policy_keys.KeyedQueue` with cancellation for
   timed-out entries, one handler per event kind.
-- :func:`run_chaos_vectorized` — a next-event loop over five primitive
+- :func:`run_chaos_chunked` — a next-event loop over five primitive
   event sources (trace arrivals, injected re-arrivals, timeout timers,
   fault events, completions).  Fault events partition the timeline into
   capacity epochs; within an epoch, contention-free stretches run
   through the same adaptively chunked pass A as the fault-free engines
-  (``completion = arrival + service``, ``searchsorted`` occupancy
-  checks, tentative-draw RNG rollback via
+  (:func:`contention_free_chunk`: ``completion = arrival + service``,
+  ``searchsorted`` occupancy checks, tentative-draw RNG rollback via
   :class:`~repro.cluster.fast_engine._ServicePools`), and congested
-  stretches step serially through the keyed-dispatch kernel.
+  stretches step serially through the keyed-dispatch kernel.  It reads
+  the trace chunk by chunk and hands its event columns to a sink once
+  per chunk, so the same kernel serves ``engine="vectorized"`` (a
+  :class:`~repro.cluster.streaming.SeriesSink`) and
+  ``engine="streaming"`` (a :class:`~repro.cluster.streaming.StreamedSink`).
 
 Failure handling is crash-only and loss-free in accounting terms: every
 trace request ends as exactly one completion or one reasoned drop
 (``queue_full`` / ``timeout`` / ``crashed``), which
 ``tests/test_fault_property.py`` asserts for every engine and seed.
-``tests/test_fault_equivalence.py`` proves the two implementations
+``tests/test_fault_equivalence.py`` proves the oracle and the kernel
 bit-identical — series, per-reason drops, chaos counters, RNG end
 state — and that a zero-fault timeline reproduces the fault-free
 engines exactly.
@@ -44,7 +48,7 @@ engines exactly.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import count, repeat
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 import numpy as np
@@ -68,6 +72,7 @@ from repro.errors import SchedulingError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.schedulers import KeyedPolicy
     from repro.cluster.simulation import RackSimulation, SimulationSeries
+    from repro.cluster.streaming import _KernelSink
     from repro.cluster.trace import RequestTrace
 
 _INF = float("inf")
@@ -291,33 +296,99 @@ def run_chaos_event(
     )
 
 
-def run_chaos_vectorized(
+def contention_free_chunk(
+    pools: _ServicePools,
+    timeline: FaultTimeline,
+    hedge,
+    arr: np.ndarray,
+    ids: np.ndarray,
+    pending: List[Tuple[float, int]],
+    busy: int,
+    cap: int,
+    n_apps: int,
+) -> Tuple[int, np.ndarray, int, int]:
+    """Pass A: start the longest prefix of ``arr`` that never queues.
+
+    Draws every request's service time tentatively (first sample, plus a
+    backup under hedging), scales it by the slowdown multiplier at the
+    arrival, and counts the requests in flight at each arrival
+    (``searchsorted`` over live and tentative completions).  The prefix
+    ends before the first arrival that would find the fleet full; RNG
+    and pool draws beyond it are rolled back.  Returns ``(cut,
+    completions, hedges launched, hedge wins)``; ``cut >= 1`` whenever
+    ``busy < cap``.
+    """
+    if hedge is not None:
+        draw_ids = np.repeat(ids, 2)
+        values, events, snapshot = pools.peek(draw_ids)
+        first = values[0::2]
+        backup = values[1::2]
+    else:
+        draw_ids = ids
+        values, events, snapshot = pools.peek(ids)
+        first = values
+    if len(timeline.slow_starts):
+        mults = timeline.multipliers(arr)
+        first = mults * first
+        if hedge is not None:
+            backup = mults * backup
+    if hedge is not None:
+        alternative = hedge + backup
+        comps = arr + np.minimum(first, alternative)
+    else:
+        comps = arr + first
+    pend_times = np.sort(
+        np.fromiter((e[0] for e in pending), dtype=np.float64,
+                    count=len(pending))
+    )
+    in_flight = (
+        busy
+        + np.arange(len(arr))
+        - np.searchsorted(pend_times, arr, side="left")
+        - np.searchsorted(np.sort(comps), arr, side="left")
+    )
+    crossing = np.nonzero(in_flight >= cap)[0]
+    cut = int(crossing[0]) if crossing.size else len(arr)
+    pools.commit(
+        draw_ids, 2 * cut if hedge is not None else cut, events, snapshot,
+        n_apps,
+    )
+    if hedge is None:
+        return cut, comps, 0, 0
+    launched = int(np.count_nonzero(first[:cut] > hedge))
+    wins = int(np.count_nonzero(alternative[:cut] < first[:cut]))
+    return cut, comps, launched, wins
+
+
+def run_chaos_chunked(
     sim: "RackSimulation",
     policy: "KeyedPolicy",
-    trace: "RequestTrace",
+    source,
     sample_interval_seconds: float,
     timeline: FaultTimeline,
     retry: RetryPolicy,
-) -> "SimulationSeries":
-    """Chaos engine with pass-A chunking inside capacity epochs.
+    sink: "_KernelSink",
+):
+    """The chaos kernel: pass-A chunking inside capacity epochs.
 
     A next-event loop over five sources (faults, timers, trace arrivals,
     injected re-arrivals, completions), ordered by the module's rank
     rule.  Whenever the next event is a trace arrival with an empty
     queue and fleet headroom, a whole contention-free chunk is processed
-    at once — cut at the first arrival that would queue, at the next
-    fault event, and at the next injected re-arrival — with tentative
-    service draws rolled back exactly as in the fault-free engines.
-    Bit-identical to :func:`run_chaos_event`.
-    """
-    from repro.cluster.simulation import SimulationSeries
+    at once (:func:`contention_free_chunk`) — cut at the first arrival
+    that would queue, at the next fault event, and at the next injected
+    re-arrival — and everything else steps serially through the
+    keyed-dispatch kernel.
 
-    arrivals = np.asarray(trace.arrival_seconds, dtype=np.float64)
-    n = len(arrivals)
-    if n and float(arrivals[0]) < 0:
-        raise SimulationError(
-            f"event scheduled at negative time {float(arrivals[0])}"
-        )
+    The trace is read from ``source`` chunk by chunk; events go to the
+    ``sink``'s per-chunk columns, flushed at every chunk boundary, and
+    ``sink.close`` returns the result (see
+    :mod:`repro.cluster.streaming`).  Live starts are held in ``flight``
+    only, and completions are recorded at pending-heap pops, which are
+    already in canonical (completion, start order).  Bit-identical to
+    :func:`run_chaos_event`.
+    """
+    n = source.total_requests
     cap = timeline.initial_capacity
     qmax = sim._queue_depth
     timeout = retry.timeout_seconds
@@ -327,12 +398,8 @@ def run_chaos_vectorized(
     observe_app = policy.observe_app
     service_time = sim._service_time
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names), dtype=np.intp, count=n
-    )
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )
@@ -342,7 +409,22 @@ def run_chaos_vectorized(
     fault_times = timeline.times.tolist()
     fault_caps = timeline.capacities.tolist()
     n_faults = len(fault_times)
-    has_slowdowns = len(timeline.slow_starts) > 0
+
+    sink.open(
+        sample_tick_times(source.duration_seconds, sample_interval_seconds),
+        n,
+        tuple(app_names),
+    )
+    start_pre = sink.starts_pre.append
+    start_post = sink.starts_post.append
+    enqueued = sink.enqueues.append
+    dequeued_pre = sink.deq_pre.append
+    dequeued_post = sink.deq_post.append
+    killed = sink.kills.append
+    completed = sink.comp_times.append
+    completed_lat = sink.comp_lats.append
+    dropped_at = sink.drop_times.append
+    dropped_why = sink.drop_reasons.append
 
     # Queue entries: ``prefix + request`` where a request is the tuple
     # ``(qseq, app_id, orig_seq, attempt, orig_arrival)``.  ``qseq`` is
@@ -351,33 +433,15 @@ def run_chaos_vectorized(
     queued: Set[int] = set()
     timers: List[tuple] = []  # (deadline, push order, request)
     injected: List[tuple] = []  # (time, push order, request)
-    pending: List[Tuple[float, int]] = []  # (completion, start_seq), live only
+    pending: List[Tuple[float, int]] = []  # (completion, start_seq)
+    # Live starts only: seq -> (done, orig_arrival, orig_seq, attempt,
+    # app_id).
+    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
     timer_counter = count()
     injected_counter = count()
     busy = 0
+    start_counter = 0
     retry_counter = 0
-
-    # Per-start logs, indexed by start sequence.
-    start_origs: List[float] = []
-    start_comps: List[float] = []
-    start_meta: List[Tuple[int, int, int]] = []  # (orig_seq, attempt, app_id)
-    killed_flags: List[bool] = []
-    alive: Set[int] = set()
-
-    # Series-reconstruction event logs, each appended in event order and
-    # therefore time-sorted.  ``pre`` logs hold events ranked before the
-    # sample tick (visible at an equal-time tick), ``post`` logs events
-    # ranked after it.
-    starts_pre: List[float] = []
-    starts_post: List[float] = []
-    enq_times: List[float] = []
-    deq_pre: List[float] = []
-    deq_post: List[float] = []
-    kill_times: List[float] = []
-
-    dropped = 0
-    drop_times: List[float] = []
-    drop_reasons: List[int] = []
     retries = timeouts = crash_kills = 0
     hedges_launched = hedge_wins = 0
 
@@ -389,7 +453,7 @@ def run_chaos_vectorized(
         attempt: int,
         pre_tick: bool,
     ) -> None:
-        nonlocal busy, hedges_launched, hedge_wins
+        nonlocal busy, start_counter, hedges_launched, hedge_wins
         sample = service_time(app_names[app_id])
         mult = multiplier_at(now)
         effective = mult * sample
@@ -402,35 +466,32 @@ def run_chaos_vectorized(
                 hedge_wins += 1
                 effective = alternative
         done = now + effective
-        seq = len(start_comps)
-        start_origs.append(orig_arrival)
-        start_comps.append(done)
-        start_meta.append((orig_seq, attempt, app_id))
-        killed_flags.append(False)
-        alive.add(seq)
+        seq = start_counter
+        start_counter += 1
+        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
         heappush(pending, (done, seq))
         busy += 1
-        (starts_pre if pre_tick else starts_post).append(now)
+        (start_pre if pre_tick else start_post)(now)
 
     def fail(
         app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
         reason: int, now: float,
     ) -> None:
-        nonlocal dropped, retries, retry_counter
+        nonlocal retries, retry_counter
         if attempt < max_retries:
             retries += 1
             delay = retry.backoff_seconds(orig_seq, attempt)
             reattempt = (
-                n + retry_counter, app_id, orig_seq, attempt + 1, orig_arrival
+                n + retry_counter, app_id, orig_seq, attempt + 1,
+                orig_arrival,
             )
             retry_counter += 1
             heappush(
                 injected, (now + delay, next(injected_counter), reattempt)
             )
         else:
-            dropped += 1
-            drop_times.append(now)
-            drop_reasons.append(reason)
+            dropped_at(now)
+            dropped_why(reason)
 
     def dispatch(now: float, pre_tick: bool) -> None:
         while True:
@@ -439,7 +500,7 @@ def run_chaos_vectorized(
             if request[0] in queued:
                 break
         queued.discard(request[0])
-        (deq_pre if pre_tick else deq_post).append(now)
+        (dequeued_pre if pre_tick else dequeued_post)(now)
         start(request[1], now, request[4], request[2], request[3], pre_tick)
 
     def admit(request: tuple, now: float) -> None:
@@ -451,17 +512,24 @@ def run_chaos_vectorized(
             observe_app(app_names[app_id])
             heappush(qheap, prefixes[app_id] + request)
             queued.add(qseq)
-            enq_times.append(now)
+            enqueued(now)
             if timeout is not None:
-                heappush(timers, (now + timeout, next(timer_counter), request))
+                heappush(
+                    timers, (now + timeout, next(timer_counter), request)
+                )
         else:
-            fail(app_id, orig_seq, attempt, orig_arrival, REASON_QUEUE_FULL, now)
+            fail(
+                app_id, orig_seq, attempt, orig_arrival,
+                REASON_QUEUE_FULL, now,
+            )
 
-    i = 0
+    feed = sink.read(source, pools)
+    chunk_arr = chunk_ids = None
+    arr_list: List[float] = []
+    ids_list: List[int] = []
+    n_chunk = base = i = 0  # buffered chunk: its size, first index, cursor
     k = 0
     chunk_size = _CHUNK_MIN
-    arrivals_list = arrivals.tolist()
-    app_ids_list = app_ids.tolist()
     while True:
         # Timers whose entries were served (or already failed) are dead;
         # with an empty queue every timer is.
@@ -472,9 +540,19 @@ def run_chaos_vectorized(
             while timers and timers[0][2][0] not in queued:
                 heappop(timers)
 
+        if i < n_chunk:
+            t_trace = arr_list[i]
+        else:
+            chunk = next(feed, None)
+            if chunk is None:
+                t_trace = _INF
+            else:
+                base, chunk_arr, chunk_ids, arr_list, ids_list = chunk
+                n_chunk = len(arr_list)
+                i = 0
+                t_trace = arr_list[0]
         t_fault = fault_times[k] if k < n_faults else _INF
         t_timer = timers[0][0] if timers else _INF
-        t_trace = arrivals_list[i] if i < n else _INF
         t_injected = injected[0][0] if injected else _INF
         t_next = min(t_fault, t_timer, t_trace, t_injected)
 
@@ -484,7 +562,8 @@ def run_chaos_vectorized(
         while pending and pending[0][0] < t_next:
             done, seq = heappop(pending)
             busy -= 1
-            alive.discard(seq)
+            completed(done)
+            completed_lat(done - flight.pop(seq)[1])
             if queued and busy < cap:
                 dispatch(done, False)
         if t_next == _INF:
@@ -495,20 +574,19 @@ def run_chaos_vectorized(
             new_cap = int(fault_caps[k])
             k += 1
             if new_cap < busy:
-                shortfall = busy - new_cap
-                victims = sorted((start_comps[s], s) for s in alive)[
-                    -shortfall:
-                ]
+                # Kill the in-flight requests that would finish last,
+                # largest (completion, start order) first.
+                victims = sorted(
+                    (rec[0], seq) for seq, rec in flight.items()
+                )[new_cap - busy:]
                 doomed = {seq for _, seq in victims}
                 for _, seq in reversed(victims):
-                    alive.discard(seq)
-                    killed_flags[seq] = True
+                    rec = flight.pop(seq)
                     busy -= 1
                     crash_kills += 1
-                    kill_times.append(t_fault)
-                    orig_seq, attempt, app_id = start_meta[seq]
+                    killed(t_fault)
                     fail(
-                        app_id, orig_seq, attempt, start_origs[seq],
+                        rec[4], rec[2], rec[3], rec[1],
                         REASON_CRASHED, t_fault,
                     )
                 pending = [e for e in pending if e[1] not in doomed]
@@ -523,7 +601,7 @@ def run_chaos_vectorized(
             _, _, request = heappop(timers)
             if request[0] in queued:  # may have been served by the drain
                 queued.discard(request[0])
-                deq_pre.append(t_timer)
+                dequeued_pre(t_timer)
                 timeouts += 1
                 fail(
                     request[1], request[2], request[3], request[4],
@@ -534,109 +612,57 @@ def run_chaos_vectorized(
         # ---- Trace arrival (before an injected one at the same time) -
         if t_trace == t_next and t_trace <= t_injected:
             if not queued and busy < cap:
-                # Pass A: contention-free chunk, cut at the next fault
-                # (rank before arrivals: equal-time arrivals excluded)
-                # and the next injected re-arrival (rank after trace
-                # arrivals: equal-time trace arrivals included).
-                hi = min(n, i + chunk_size)
+                # Pass A, cut at the next fault (rank before arrivals:
+                # equal-time arrivals excluded) and the next injected
+                # re-arrival (rank after trace arrivals: equal-time
+                # trace arrivals included).
+                hi = min(n_chunk, i + chunk_size)
                 if k < n_faults:
-                    hi = i + int(
-                        np.searchsorted(arrivals[i:hi], t_fault, side="left")
-                    )
+                    hi = i + int(np.searchsorted(
+                        chunk_arr[i:hi], t_fault, side="left"
+                    ))
                 if injected:
-                    hi = i + int(
-                        np.searchsorted(arrivals[i:hi], t_injected, side="right")
-                    )
-                unknown = np.nonzero(~known[app_ids[i:hi]])[0]
+                    hi = i + int(np.searchsorted(
+                        chunk_arr[i:hi], t_injected, side="right"
+                    ))
+                unknown = np.nonzero(~known[chunk_ids[i:hi]])[0]
                 if unknown.size:
                     if unknown[0] == 0:
                         raise SchedulingError(
-                            f"unknown application {app_names[app_ids[i]]!r}"
+                            f"unknown application {app_names[ids_list[i]]!r}"
                         )
                     hi = i + int(unknown[0])
-                chunk = slice(i, hi)
                 m = hi - i
-                arr = arrivals[chunk]
-                ids = app_ids[chunk]
-                if hedge is not None:
-                    draw_ids = np.repeat(ids, 2)
-                    values, events, snapshot = pools.peek(draw_ids)
-                    first = values[0::2]
-                    backup = values[1::2]
-                else:
-                    draw_ids = ids
-                    values, events, snapshot = pools.peek(ids)
-                    first = values
-                mults = (
-                    timeline.multipliers(arr)
-                    if has_slowdowns
-                    else np.ones(m)
-                )
-                effective_first = mults * first
-                if hedge is not None:
-                    alternative = hedge + mults * backup
-                    effective = np.minimum(effective_first, alternative)
-                else:
-                    effective = effective_first
-                comp_opt = arr + effective
-                pend_times = np.sort(
-                    np.fromiter(
-                        (e[0] for e in pending),
-                        dtype=np.float64,
-                        count=len(pending),
-                    )
-                )
-                dep_pend = np.searchsorted(pend_times, arr, side="left")
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr, side="left"
-                )
-                n_before = busy + np.arange(m) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= cap)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                pools.commit(
-                    draw_ids,
-                    2 * cut if hedge is not None else cut,
-                    events,
-                    snapshot,
+                arr = chunk_arr[i:hi]
+                ids = chunk_ids[i:hi]
+                cut, comps, launched, wins = contention_free_chunk(
+                    pools, timeline, hedge, arr, ids, pending, busy, cap,
                     n_apps,
                 )
-                # cut >= 1: with busy < cap the first arrival always
-                # fits.  Observation is coalesced per app per chunk
-                # (the documented set-like contract).
+                # Observation is coalesced per app per chunk (the
+                # documented set-like contract).
                 for committed_id in np.unique(ids[:cut]):
                     observe_app(app_names[committed_id])
-                if hedge is not None:
-                    hedges_launched += int(
-                        np.count_nonzero(effective_first[:cut] > hedge)
-                    )
-                    hedge_wins += int(
-                        np.count_nonzero(
-                            alternative[:cut] < effective_first[:cut]
-                        )
-                    )
-                started = arr[:cut].tolist()
-                comps = comp_opt[:cut].tolist()
-                base = len(start_comps)
-                starts_pre.extend(started)
-                start_origs.extend(started)
-                start_comps.extend(comps)
-                ids_cut = ids[:cut].tolist()
-                for offset in range(cut):
-                    start_meta.append((i + offset, 0, ids_cut[offset]))
-                    killed_flags.append(False)
-                    seq = base + offset
-                    alive.add(seq)
-                    pending.append((comps[offset], seq))
+                hedges_launched += launched
+                hedge_wins += wins
+                started = arr_list[i:i + cut]
+                done_list = comps[:cut].tolist()
+                seqs = range(start_counter, start_counter + cut)
+                flight.update(zip(seqs, zip(
+                    done_list, started, range(base + i, base + i + cut),
+                    repeat(0), ids_list[i:i + cut],
+                )))
+                pending.extend(zip(done_list, seqs))
                 heapify(pending)
+                sink.starts_pre.extend(started)
+                start_counter += cut
                 busy += cut
                 i += cut
                 chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if cut == m
-                    else _CHUNK_MIN
+                    min(chunk_size * 2, _CHUNK_MAX) if cut == m else _CHUNK_MIN
                 )
             else:
-                admit((i, app_ids_list[i], i, 0, t_trace), t_trace)
+                admit((base + i, ids_list[i], base + i, 0, t_trace), t_trace)
                 i += 1
             continue
 
@@ -644,44 +670,7 @@ def run_chaos_vectorized(
         _, _, request = heappop(injected)
         admit(request, t_injected)
 
-    # ---- Series reconstruction --------------------------------------
-    comp_all = np.asarray(start_comps)
-    orig_all = np.asarray(start_origs)
-    keep = ~np.asarray(killed_flags, dtype=bool)
-    comp_kept = comp_all[keep] if len(comp_all) else comp_all
-    orig_kept = orig_all[keep] if len(orig_all) else orig_all
-    # Completion events fire in (time, start order); the kept arrays are
-    # already in start order, so a stable lexsort reproduces it.
-    order = np.lexsort((np.arange(len(comp_kept)), comp_kept))
-    completed_times = comp_kept[order]
-    latencies = (comp_kept - orig_kept)[order]
-
-    ticks = sample_tick_times(trace.duration_seconds, sample_interval_seconds)
-    starts_pre_arr = np.asarray(starts_pre)
-    starts_post_arr = np.asarray(starts_post)
-    kills_arr = np.asarray(kill_times)
-    busy_series = (
-        np.searchsorted(starts_pre_arr, ticks, side="right")
-        + np.searchsorted(starts_post_arr, ticks, side="left")
-        - np.searchsorted(completed_times, ticks, side="left")
-        - np.searchsorted(kills_arr, ticks, side="right")
-    )
-    queue_depth = (
-        np.searchsorted(np.asarray(enq_times), ticks, side="right")
-        - np.searchsorted(np.asarray(deq_pre), ticks, side="right")
-        - np.searchsorted(np.asarray(deq_post), ticks, side="left")
-    )
-
-    return SimulationSeries(
-        sample_times=ticks,
-        queue_depth=queue_depth,
-        busy_instances=busy_series,
-        completed_latency_seconds=latencies,
-        completed_times=completed_times,
-        dropped_requests=dropped,
-        total_requests=n,
-        dropped_times=np.asarray(drop_times),
-        dropped_reasons=np.asarray(drop_reasons, dtype=np.int8),
+    return sink.close(
         retries=retries,
         timeouts=timeouts,
         crash_kills=crash_kills,

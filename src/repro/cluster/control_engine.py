@@ -1,4 +1,4 @@
-"""Closed-loop control engines for the rack simulator (oracle + fast).
+"""Closed-loop control engines for the rack simulator (oracle + kernel).
 
 Both engines run the chaos dynamics of :mod:`repro.cluster.chaos_engine`
 *plus* a :class:`~repro.cluster.control.ControlPlane` evaluated at a
@@ -16,17 +16,18 @@ govern):
     fault < control (decision before warmup activation)
           < timeout < arrival (trace before injected) < tick < completion
 
-Shared semantics, implemented twice:
+One reference oracle, one chunked kernel:
 
 - :func:`run_control_event` — the reference oracle: one ranked event
   heap with explicit handlers for control ticks and warmup
   activations on top of the chaos oracle's handlers.
-- :func:`run_control_vectorized` — the chaos engine's next-event loop
-  with two more event sources (decision ticks, warmup activations).
-  Control ticks are natural chunk boundaries: pass-A chunks are
-  additionally cut at the next control event, the arrival gate is
-  applied as a vectorized mask (token spend committed only for the
-  admitted prefix that actually starts), and the tentative-draw RNG
+- :func:`run_control_chunked` — the chaos kernel's next-event loop
+  with two more event sources (decision ticks, warmup activations),
+  serving ``engine="vectorized"`` and ``engine="streaming"`` through
+  the same sinks.  Control ticks are natural chunk boundaries: pass-A
+  chunks are additionally cut at the next control event, the arrival
+  gate is applied as a vectorized mask (token spend committed only for
+  the admitted prefix that actually starts), and the tentative-draw RNG
   rollback covers admitted arrivals only — shed arrivals never touch
   the RNG, in either engine.
 
@@ -40,12 +41,13 @@ construction (``tests/test_control_equivalence.py``).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import count
+from itertools import count, repeat
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.control import ControllerState, ControlPlane
+from repro.cluster.chaos_engine import contention_free_chunk
 from repro.cluster.fast_engine import (
     _CHUNK_MAX,
     _CHUNK_MIN,
@@ -66,6 +68,7 @@ from repro.errors import SchedulingError, SimulationError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.schedulers import KeyedPolicy
     from repro.cluster.simulation import RackSimulation, SimulationSeries
+    from repro.cluster.streaming import _KernelSink
     from repro.cluster.trace import RequestTrace
 
 _INF = float("inf")
@@ -383,32 +386,29 @@ def run_control_event(
     )
 
 
-def run_control_vectorized(
+def run_control_chunked(
     sim: "RackSimulation",
     policy: "KeyedPolicy",
-    trace: "RequestTrace",
+    source,
     sample_interval_seconds: float,
     timeline: FaultTimeline,
     retry: RetryPolicy,
     plane: ControlPlane,
-) -> "SimulationSeries":
-    """Control engine: chaos pass-A chunking + control-epoch boundaries.
+    sink: "_KernelSink",
+):
+    """The control kernel: chaos pass-A chunking + control-epoch cuts.
 
-    The chaos engine's next-event loop with two added sources (decision
-    ticks, warmup activations).  Contention-free chunks are additionally
-    cut at the next control event; within a chunk the arrival gate runs
-    as a vectorized mask over the current blocked set and token balance,
-    with token spend committed only for the prefix that actually starts.
-    Bit-identical to :func:`run_control_event`.
+    The chaos kernel's next-event loop
+    (:func:`~repro.cluster.chaos_engine.run_chaos_chunked`) with two
+    added sources (decision ticks, warmup activations).  Contention-free
+    chunks are additionally cut at the next control event; within a
+    chunk the arrival gate runs as a vectorized mask over the current
+    blocked set and token balance, with token spend committed only for
+    the prefix that actually starts.  Trace chunks, sink columns and
+    the result follow the chaos kernel.  Bit-identical to
+    :func:`run_control_event`.
     """
-    from repro.cluster.simulation import SimulationSeries
-
-    arrivals = np.asarray(trace.arrival_seconds, dtype=np.float64)
-    n = len(arrivals)
-    if n and float(arrivals[0]) < 0:
-        raise SimulationError(
-            f"event scheduled at negative time {float(arrivals[0])}"
-        )
+    n = source.total_requests
     qmax = sim._queue_depth
     timeout = retry.timeout_seconds
     hedge = retry.hedge_after_seconds
@@ -417,12 +417,8 @@ def run_control_vectorized(
     observe_app = policy.observe_app
     service_time = sim._service_time
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names), dtype=np.intp, count=n
-    )
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )
@@ -438,15 +434,30 @@ def run_control_vectorized(
     fault_times = timeline.times.tolist()
     fault_caps = timeline.capacities.tolist()
     n_faults = len(fault_times)
-    has_slowdowns = len(timeline.slow_starts) > 0
 
     ctrl_times = sample_tick_times(
-        trace.duration_seconds, plane.control_interval_seconds
+        source.duration_seconds, plane.control_interval_seconds
     ).tolist()
     n_ctrl = len(ctrl_times)
     jc = 0
     activations: List[Tuple[float, int, int]] = []  # (time, order, target)
     activation_counter = count()
+
+    ticks = sample_tick_times(
+        source.duration_seconds, sample_interval_seconds
+    )
+    sink.open(ticks, n, tuple(app_names), track_apps=True)
+    start_pre = sink.starts_pre.append
+    start_post = sink.starts_post.append
+    enqueued = sink.enqueues.append
+    dequeued_pre = sink.deq_pre.append
+    dequeued_post = sink.deq_post.append
+    killed = sink.kills.append
+    completed = sink.comp_times.append
+    completed_lat = sink.comp_lats.append
+    completed_app = sink.comp_apps.append
+    dropped_at = sink.drop_times.append
+    dropped_why = sink.drop_reasons.append
 
     # Queue entries: ``prefix + request`` where a request is the tuple
     # ``(qseq, app_id, orig_seq, attempt, orig_arrival)``.
@@ -455,28 +466,15 @@ def run_control_vectorized(
     queued: Dict[int, Tuple[float, tuple]] = {}
     timers: List[tuple] = []
     injected: List[tuple] = []
-    pending: List[Tuple[float, int]] = []  # (completion, start_seq), live only
+    pending: List[Tuple[float, int]] = []  # (completion, start_seq)
+    # Live starts only: seq -> (done, orig_arrival, orig_seq, attempt,
+    # app_id).
+    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
     timer_counter = count()
     injected_counter = count()
     busy = 0
+    start_counter = 0
     retry_counter = 0
-
-    start_origs: List[float] = []
-    start_comps: List[float] = []
-    start_meta: List[Tuple[int, int, int]] = []  # (orig_seq, attempt, app_id)
-    killed_flags: List[bool] = []
-    alive: Set[int] = set()
-
-    starts_pre: List[float] = []
-    starts_post: List[float] = []
-    enq_times: List[float] = []
-    deq_pre: List[float] = []
-    deq_post: List[float] = []
-    kill_times: List[float] = []
-
-    dropped = 0
-    drop_times: List[float] = []
-    drop_reasons: List[int] = []
     retries = timeouts = crash_kills = 0
     hedges_launched = hedge_wins = 0
 
@@ -488,7 +486,7 @@ def run_control_vectorized(
         attempt: int,
         pre_tick: bool,
     ) -> None:
-        nonlocal busy, hedges_launched, hedge_wins
+        nonlocal busy, start_counter, hedges_launched, hedge_wins
         sample = service_time(app_names[app_id])
         mult = multiplier_at(now)
         effective = mult * sample
@@ -501,43 +499,38 @@ def run_control_vectorized(
                 hedge_wins += 1
                 effective = alternative
         done = now + effective
-        seq = len(start_comps)
-        start_origs.append(orig_arrival)
-        start_comps.append(done)
-        start_meta.append((orig_seq, attempt, app_id))
-        killed_flags.append(False)
-        alive.add(seq)
+        seq = start_counter
+        start_counter += 1
+        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
         heappush(pending, (done, seq))
         busy += 1
-        (starts_pre if pre_tick else starts_post).append(now)
+        (start_pre if pre_tick else start_post)(now)
 
     def fail(
         app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
         reason: int, now: float,
     ) -> None:
-        nonlocal dropped, retries, retry_counter
+        nonlocal retries, retry_counter
         if windows:
             state.record_failure(app_id)
         if attempt < max_retries:
             retries += 1
             delay = retry.backoff_seconds(orig_seq, attempt)
             reattempt = (
-                n + retry_counter, app_id, orig_seq, attempt + 1, orig_arrival
+                n + retry_counter, app_id, orig_seq, attempt + 1,
+                orig_arrival,
             )
             retry_counter += 1
             heappush(
                 injected, (now + delay, next(injected_counter), reattempt)
             )
         else:
-            dropped += 1
-            drop_times.append(now)
-            drop_reasons.append(reason)
+            dropped_at(now)
+            dropped_why(reason)
 
     def shed_drop(now: float) -> None:
-        nonlocal dropped
-        dropped += 1
-        drop_times.append(now)
-        drop_reasons.append(REASON_SHED)
+        dropped_at(now)
+        dropped_why(REASON_SHED)
 
     def dispatch(now: float, pre_tick: bool) -> None:
         while True:
@@ -546,7 +539,7 @@ def run_control_vectorized(
             if request[0] in queued:
                 break
         queued.pop(request[0])
-        (deq_pre if pre_tick else deq_post).append(now)
+        (dequeued_pre if pre_tick else dequeued_post)(now)
         start(request[1], now, request[4], request[2], request[3], pre_tick)
 
     def admit(request: tuple, now: float) -> None:
@@ -565,18 +558,25 @@ def run_control_vectorized(
             observe_app(app_names[app_id])
             entry = prefixes[app_id] + request
             heappush(qheap, entry)
-            queued[qseq] = (now, entry[: -4])
-            enq_times.append(now)
+            queued[qseq] = (now, entry[:-4])
+            enqueued(now)
             if timeout is not None:
-                heappush(timers, (now + timeout, next(timer_counter), request))
+                heappush(
+                    timers, (now + timeout, next(timer_counter), request)
+                )
         else:
-            fail(app_id, orig_seq, attempt, orig_arrival, REASON_QUEUE_FULL, now)
+            fail(
+                app_id, orig_seq, attempt, orig_arrival,
+                REASON_QUEUE_FULL, now,
+            )
 
-    i = 0
+    feed = sink.read(source, pools)
+    chunk_arr = chunk_ids = None
+    arr_list: List[float] = []
+    ids_list: List[int] = []
+    n_chunk = base = i = 0  # buffered chunk: its size, first index, cursor
     k = 0
     chunk_size = _CHUNK_MIN
-    arrivals_list = arrivals.tolist()
-    app_ids_list = app_ids.tolist()
     while True:
         if not queued:
             if timers:
@@ -585,12 +585,22 @@ def run_control_vectorized(
             while timers and timers[0][2][0] not in queued:
                 heappop(timers)
 
+        if i < n_chunk:
+            t_trace = arr_list[i]
+        else:
+            chunk = next(feed, None)
+            if chunk is None:
+                t_trace = _INF
+            else:
+                base, chunk_arr, chunk_ids, arr_list, ids_list = chunk
+                n_chunk = len(arr_list)
+                i = 0
+                t_trace = arr_list[0]
         t_fault = fault_times[k] if k < n_faults else _INF
         t_decision = ctrl_times[jc] if jc < n_ctrl else _INF
         t_activation = activations[0][0] if activations else _INF
         t_control = min(t_decision, t_activation)
         t_timer = timers[0][0] if timers else _INF
-        t_trace = arrivals_list[i] if i < n else _INF
         t_injected = injected[0][0] if injected else _INF
         t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
 
@@ -601,11 +611,13 @@ def run_control_vectorized(
         while pending and pending[0][0] < t_next:
             done, seq = heappop(pending)
             busy -= 1
-            alive.discard(seq)
+            rec = flight.pop(seq)
+            latency = done - rec[1]
             if windows:
-                state.record_completion(
-                    start_meta[seq][2], done - start_origs[seq]
-                )
+                state.record_completion(rec[4], latency)
+            completed(done)
+            completed_lat(latency)
+            completed_app(rec[4])
             if queued and busy < cap:
                 dispatch(done, False)
         if t_next == _INF:
@@ -616,20 +628,20 @@ def run_control_vectorized(
             surviving = int(fault_caps[k])
             k += 1
             if surviving < busy:
-                shortfall = busy - surviving
-                victims = sorted((start_comps[s], s) for s in alive)[
-                    -shortfall:
-                ]
+                # Crashes kill: the in-flight requests that would finish
+                # last die, down to the surviving machine count.
+                # Graceful scale-downs never enter here.
+                victims = sorted(
+                    (rec[0], seq) for seq, rec in flight.items()
+                )[surviving - busy:]
                 doomed = {seq for _, seq in victims}
                 for _, seq in reversed(victims):
-                    alive.discard(seq)
-                    killed_flags[seq] = True
+                    rec = flight.pop(seq)
                     busy -= 1
                     crash_kills += 1
-                    kill_times.append(t_fault)
-                    orig_seq, attempt, app_id = start_meta[seq]
+                    killed(t_fault)
                     fail(
-                        app_id, orig_seq, attempt, start_origs[seq],
+                        rec[4], rec[2], rec[3], rec[1],
                         REASON_CRASHED, t_fault,
                     )
                 pending = [e for e in pending if e[1] not in doomed]
@@ -657,7 +669,7 @@ def run_control_vectorized(
                     )
                     for qseq in victims:
                         queued.pop(qseq)
-                        deq_pre.append(t)
+                        dequeued_pre(t)
                         shed_drop(t)
                 if activation is not None:
                     heappush(
@@ -678,7 +690,7 @@ def run_control_vectorized(
             _, _, request = heappop(timers)
             if request[0] in queued:
                 queued.pop(request[0])
-                deq_pre.append(t_timer)
+                dequeued_pre(t_timer)
                 timeouts += 1
                 fail(
                     request[1], request[2], request[3], request[4],
@@ -689,156 +701,96 @@ def run_control_vectorized(
         # ---- Trace arrival (before an injected one at the same time) -
         if t_trace == t_next and t_trace <= t_injected:
             if not queued and busy < cap:
-                # Pass A: contention-free chunk, cut at the next fault
-                # and control event (both ranked before arrivals:
-                # equal-time arrivals excluded) and the next injected
-                # re-arrival (ranked after: equal-time included).
-                hi = min(n, i + chunk_size)
+                # Pass A, cut at the next fault and control event (both
+                # ranked before arrivals: equal-time arrivals excluded)
+                # and the next injected re-arrival (ranked after:
+                # equal-time included).
+                hi = min(n_chunk, i + chunk_size)
                 if k < n_faults:
-                    hi = i + int(
-                        np.searchsorted(arrivals[i:hi], t_fault, side="left")
-                    )
+                    hi = i + int(np.searchsorted(
+                        chunk_arr[i:hi], t_fault, side="left"
+                    ))
                 if t_control < _INF:
-                    hi = i + int(
-                        np.searchsorted(
-                            arrivals[i:hi], t_control, side="left"
-                        )
-                    )
+                    hi = i + int(np.searchsorted(
+                        chunk_arr[i:hi], t_control, side="left"
+                    ))
                 if injected:
-                    hi = i + int(
-                        np.searchsorted(arrivals[i:hi], t_injected, side="right")
-                    )
-                unknown = np.nonzero(~known[app_ids[i:hi]])[0]
+                    hi = i + int(np.searchsorted(
+                        chunk_arr[i:hi], t_injected, side="right"
+                    ))
+                unknown = np.nonzero(~known[chunk_ids[i:hi]])[0]
                 if unknown.size:
                     if unknown[0] == 0:
                         raise SchedulingError(
-                            f"unknown application {app_names[app_ids[i]]!r}"
+                            f"unknown application {app_names[ids_list[i]]!r}"
                         )
                     hi = i + int(unknown[0])
-                chunk = slice(i, hi)
                 m = hi - i
-                arr = arrivals[chunk]
-                ids = app_ids[chunk]
+                arr = chunk_arr[i:hi]
+                ids = chunk_ids[i:hi]
                 # Arrival gate over the chunk.  No refill interleaves
                 # (chunks are cut at control events), so the mask equals
                 # the oracle's arrival-by-arrival decisions; sheds never
                 # draw service samples.
-                if gating:
-                    mask = state.gate_mask(ids)
-                    all_admitted = bool(mask.all())
-                else:
-                    mask = None
-                    all_admitted = True
-                if all_admitted:
+                mask = state.gate_mask(ids) if gating else None
+                if mask is None or mask.all():
                     positions = None
                     arr_adm = arr
                     ids_adm = ids
-                    n_adm = m
                 else:
                     positions = np.nonzero(mask)[0]
-                    n_adm = int(positions.size)
+                    if positions.size == 0:
+                        # Every arrival in the chunk is shed: no capacity
+                        # interaction, the whole chunk commits as drops.
+                        sink.drop_times.extend(arr_list[i:hi])
+                        sink.drop_reasons.extend([REASON_SHED] * m)
+                        i = hi
+                        chunk_size = min(chunk_size * 2, _CHUNK_MAX)
+                        continue
                     arr_adm = arr[positions]
                     ids_adm = ids[positions]
-                if n_adm == 0:
-                    # Every arrival in the chunk is shed: no capacity
-                    # interaction, the whole chunk commits as drops.
-                    dropped += m
-                    drop_times.extend(arr.tolist())
-                    drop_reasons.extend([REASON_SHED] * m)
-                    i = hi
-                    chunk_size = min(chunk_size * 2, _CHUNK_MAX)
-                    continue
-                if hedge is not None:
-                    draw_ids = np.repeat(ids_adm, 2)
-                    values, events, snapshot = pools.peek(draw_ids)
-                    first = values[0::2]
-                    backup = values[1::2]
-                else:
-                    draw_ids = ids_adm
-                    values, events, snapshot = pools.peek(ids_adm)
-                    first = values
-                mults = (
-                    timeline.multipliers(arr_adm)
-                    if has_slowdowns
-                    else np.ones(n_adm)
+                cut, comps, launched, wins = contention_free_chunk(
+                    pools, timeline, hedge, arr_adm, ids_adm, pending,
+                    busy, cap, n_apps,
                 )
-                effective_first = mults * first
-                if hedge is not None:
-                    alternative = hedge + mults * backup
-                    effective = np.minimum(effective_first, alternative)
-                else:
-                    effective = effective_first
-                comp_opt = arr_adm + effective
-                pend_times = np.sort(
-                    np.fromiter(
-                        (e[0] for e in pending),
-                        dtype=np.float64,
-                        count=len(pending),
-                    )
-                )
-                dep_pend = np.searchsorted(pend_times, arr_adm, side="left")
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr_adm, side="left"
-                )
-                n_before = busy + np.arange(n_adm) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= cap)[0]
-                cut = int(crossing[0]) if crossing.size else n_adm
+                state.consume(cut)
                 # cut >= 1: with busy < cap the first *admitted* arrival
                 # always fits, so progress is guaranteed.
-                if cut == n_adm:
+                if cut == len(arr_adm):
                     committed = m
                 elif positions is None:
                     committed = cut
                 else:
                     committed = int(positions[cut])
-                pools.commit(
-                    draw_ids,
-                    2 * cut if hedge is not None else cut,
-                    events,
-                    snapshot,
-                    n_apps,
-                )
-                state.consume(cut)
                 if positions is not None:
                     # Sheds below the committed boundary are final now;
                     # later ones re-run through the serial gate (which
                     # sees the post-spend token balance, as the oracle
                     # does).
                     shed_at = np.nonzero(~mask[:committed])[0]
-                    if shed_at.size:
-                        dropped += int(shed_at.size)
-                        drop_times.extend(arr[shed_at].tolist())
-                        drop_reasons.extend([REASON_SHED] * int(shed_at.size))
+                    sink.drop_times.extend(arr[shed_at].tolist())
+                    sink.drop_reasons.extend([REASON_SHED] * shed_at.size)
                 for committed_id in np.unique(ids_adm[:cut]):
                     observe_app(app_names[committed_id])
-                if hedge is not None:
-                    hedges_launched += int(
-                        np.count_nonzero(effective_first[:cut] > hedge)
-                    )
-                    hedge_wins += int(
-                        np.count_nonzero(
-                            alternative[:cut] < effective_first[:cut]
-                        )
-                    )
-                started = arr_adm[:cut].tolist()
-                comps = comp_opt[:cut].tolist()
-                base = len(start_comps)
-                starts_pre.extend(started)
-                start_origs.extend(started)
-                start_comps.extend(comps)
-                ids_cut = ids_adm[:cut].tolist()
-                for offset in range(cut):
-                    orig_seq = (
-                        i + offset
-                        if positions is None
-                        else i + int(positions[offset])
-                    )
-                    start_meta.append((orig_seq, 0, ids_cut[offset]))
-                    killed_flags.append(False)
-                    seq = base + offset
-                    alive.add(seq)
-                    pending.append((comps[offset], seq))
+                hedges_launched += launched
+                hedge_wins += wins
+                if positions is None:
+                    started = arr_list[i:i + cut]
+                    orig_seqs = range(base + i, base + i + cut)
+                    started_ids = ids_list[i:i + cut]
+                else:
+                    started = arr_adm[:cut].tolist()
+                    orig_seqs = (base + i + positions[:cut]).tolist()
+                    started_ids = ids_adm[:cut].tolist()
+                done_list = comps[:cut].tolist()
+                seqs = range(start_counter, start_counter + cut)
+                flight.update(zip(seqs, zip(
+                    done_list, started, orig_seqs, repeat(0), started_ids,
+                )))
+                pending.extend(zip(done_list, seqs))
                 heapify(pending)
+                sink.starts_pre.extend(started)
+                start_counter += cut
                 busy += cut
                 i += committed
                 chunk_size = (
@@ -847,7 +799,7 @@ def run_control_vectorized(
                     else _CHUNK_MIN
                 )
             else:
-                admit((i, app_ids_list[i], i, 0, t_trace), t_trace)
+                admit((base + i, ids_list[i], base + i, 0, t_trace), t_trace)
                 i += 1
             continue
 
@@ -855,57 +807,13 @@ def run_control_vectorized(
         _, _, request = heappop(injected)
         admit(request, t_injected)
 
-    # ---- Series reconstruction --------------------------------------
-    comp_all = np.asarray(start_comps)
-    orig_all = np.asarray(start_origs)
-    meta_ids = np.fromiter(
-        (meta[2] for meta in start_meta),
-        dtype=np.int64,
-        count=len(start_meta),
-    )
-    keep = ~np.asarray(killed_flags, dtype=bool)
-    comp_kept = comp_all[keep] if len(comp_all) else comp_all
-    orig_kept = orig_all[keep] if len(orig_all) else orig_all
-    ids_kept = meta_ids[keep] if len(meta_ids) else meta_ids
-    order = np.lexsort((np.arange(len(comp_kept)), comp_kept))
-    completed_times = comp_kept[order]
-    latencies = (comp_kept - orig_kept)[order]
-    completed_ids = ids_kept[order]
-
-    ticks = sample_tick_times(trace.duration_seconds, sample_interval_seconds)
-    starts_pre_arr = np.asarray(starts_pre)
-    starts_post_arr = np.asarray(starts_post)
-    kills_arr = np.asarray(kill_times)
-    busy_series = (
-        np.searchsorted(starts_pre_arr, ticks, side="right")
-        + np.searchsorted(starts_post_arr, ticks, side="left")
-        - np.searchsorted(completed_times, ticks, side="left")
-        - np.searchsorted(kills_arr, ticks, side="right")
-    )
-    queue_depth = (
-        np.searchsorted(np.asarray(enq_times), ticks, side="right")
-        - np.searchsorted(np.asarray(deq_pre), ticks, side="right")
-        - np.searchsorted(np.asarray(deq_post), ticks, side="left")
-    )
-
-    return SimulationSeries(
-        sample_times=ticks,
-        queue_depth=queue_depth,
-        busy_instances=busy_series,
-        completed_latency_seconds=latencies,
-        completed_times=completed_times,
-        dropped_requests=dropped,
-        total_requests=n,
-        dropped_times=np.asarray(drop_times),
-        dropped_reasons=np.asarray(drop_reasons, dtype=np.int8),
+    return sink.close(
         retries=retries,
         timeouts=timeouts,
         crash_kills=crash_kills,
         hedges_launched=hedges_launched,
         hedge_wins=hedge_wins,
         live_instances=_live_series(state, ticks),
-        completed_app_ids=completed_ids,
-        app_catalog=tuple(app_names),
         scale_ups=state.scale_ups,
         scale_downs=state.scale_downs,
     )

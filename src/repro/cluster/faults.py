@@ -26,7 +26,9 @@ which engines discover failures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -186,13 +188,16 @@ class FaultTimeline:
     def empty_timeline(self) -> bool:
         return len(self.times) == 0 and len(self.slow_starts) == 0
 
+    @cached_property
+    def _slow_windows(self) -> Tuple[List[float], List[float]]:
+        """The slowdown windows as Python lists, for scalar bisection."""
+        return self.slow_starts.tolist(), self.slow_ends.tolist()
+
     def multiplier_at(self, t: float) -> float:
         """Service-time multiplier in effect at time ``t`` (scalar)."""
-        starts = self.slow_starts
-        if len(starts) == 0:
-            return 1.0
-        idx = int(np.searchsorted(starts, t, side="right")) - 1
-        if idx >= 0 and t < float(self.slow_ends[idx]):
+        starts, ends = self._slow_windows
+        idx = bisect_right(starts, t) - 1
+        if idx >= 0 and t < ends[idx]:
             return self.slowdown_multiplier
         return 1.0
 

@@ -556,80 +556,130 @@ class RackSimulation:
         self._last_policy = queue
 
         if engine == "streaming":
-            from repro.cluster.streaming import run_streaming
+            if chunk_requests is None:
+                from repro.cluster.streaming import _DEFAULT_CHUNK_REQUESTS
 
+                chunk_requests = _DEFAULT_CHUNK_REQUESTS
             if isinstance(trace, RequestTrace) and not self._time_ordered(
                 trace
             ):
                 raise ConfigurationError(
                     "engine='streaming' requires a time-ordered trace"
                 )
-            return run_streaming(
-                self, queue, trace, sample_interval_seconds, chunk_requests
+        if engine != "streaming" or isinstance(trace, RequestTrace):
+            return self._route(
+                queue, trace, sample_interval_seconds, engine, chunk_requests
             )
-
-        if self._control_active():
-            # The control engines subsume the chaos dynamics (they take
-            # the fault timeline and retry policy too), so an active
-            # control plane routes here regardless of fault config.  An
-            # inert plane must NOT: attaching ``ControlPlane()`` keeps
-            # today's engines and their benchmark hashes bit for bit.
-            from repro.cluster.control_engine import (
-                run_control_event,
-                run_control_vectorized,
+        # Generator-backed sources switch the service pools into bounded
+        # (windowed-replay) mode for the run: with no materialized trace
+        # anywhere, the pools are the last O(trace) term, and replaying
+        # recorded RNG states on clones bounds them too without touching
+        # the live RNG stream.  Materialized traces keep fully
+        # materialized pools — the trace already costs O(n), and
+        # skipping replay there keeps streaming throughput at the
+        # vectorized engines' level.
+        saved = self._service_window
+        self._service_window = max(chunk_requests, 4096)
+        try:
+            return self._route(
+                queue, trace, sample_interval_seconds, engine, chunk_requests
             )
+        finally:
+            self._service_window = saved
 
-            if not isinstance(queue, KeyedPolicy):
-                raise ConfigurationError(
-                    "the control plane requires a keyed policy (one "
-                    "built on repro.cluster.policy_keys.PolicyKey); got "
-                    f"{type(queue).__name__}"
-                )
-            timeline = self._fault_timeline(trace)
-            retry = self._retry if self._retry is not None else RetryPolicy()
-            if engine != "event" and self._time_ordered(trace):
-                return run_control_vectorized(
-                    self, queue, trace, sample_interval_seconds,
-                    timeline, retry, self._control,
-                )
-            return run_control_event(
-                self, queue, trace, sample_interval_seconds,
-                timeline, retry, self._control,
-            )
+    def _route(
+        self,
+        queue,
+        trace,
+        sample_interval_seconds: float,
+        engine: str,
+        chunk_requests: Optional[int],
+    ):
+        """Pick the engine family, then the engine (or sink) within it.
 
-        if self._chaos_active():
-            # Fault injection / retry changes the dynamics, so inert
-            # configurations must NOT route here: a no-op schedule plus
-            # a no-op retry policy reproduces today's engines (and their
-            # benchmark hashes) bit for bit by construction.
+        Families, most general first: control, chaos, then the policy's
+        own (FCFS busy-period or keyed index-priority).  Chaos and
+        control have one chunked kernel each, fed a
+        :class:`~repro.cluster.streaming.SeriesSink` or a
+        :class:`~repro.cluster.streaming.StreamedSink`; unsorted traces
+        fall back to the event oracles.
+        """
+        # Engine modules are imported on first use, keeping them out of
+        # the import (and set-up) path of runs that never reach them.
+        control = self._control_active()
+        if control or self._chaos_active():
             from repro.cluster.chaos_engine import (
+                run_chaos_chunked,
                 run_chaos_event,
-                run_chaos_vectorized,
             )
+            from repro.cluster.control_engine import (
+                run_control_chunked,
+                run_control_event,
+            )
+            from repro.cluster.streaming import SeriesSink, StreamedSink
 
+            # The control kernel subsumes the chaos dynamics (it takes
+            # the fault timeline and retry policy too).  Inert
+            # configurations must NOT route here: a no-op schedule,
+            # retry policy or ``ControlPlane()`` keeps today's engines
+            # and their benchmark hashes bit for bit.
             if not isinstance(queue, KeyedPolicy):
+                layer = "the control plane" if control else "fault injection"
                 raise ConfigurationError(
-                    "fault injection requires a keyed policy (one built "
-                    "on repro.cluster.policy_keys.PolicyKey); got "
+                    f"{layer} requires a keyed policy (one built on "
+                    "repro.cluster.policy_keys.PolicyKey); got "
                     f"{type(queue).__name__}"
                 )
             timeline = self._fault_timeline(trace)
             retry = self._retry if self._retry is not None else RetryPolicy()
-            if engine != "event" and self._time_ordered(trace):
-                return run_chaos_vectorized(
-                    self, queue, trace, sample_interval_seconds,
-                    timeline, retry,
+            args = (self, queue, trace, sample_interval_seconds, timeline, retry)
+            if control:
+                args += (self._control,)
+            if engine == "event" or (
+                engine != "streaming" and not self._time_ordered(trace)
+            ):
+                return (run_control_event if control else run_chaos_event)(
+                    *args
                 )
-            return run_chaos_event(
-                self, queue, trace, sample_interval_seconds, timeline, retry
+            sink = (
+                StreamedSink(chunk_requests)
+                if engine == "streaming"
+                else SeriesSink()
+            )
+            return (run_control_chunked if control else run_chaos_chunked)(
+                *args, sink
             )
 
+        if engine == "streaming":
+            from repro.cluster.streaming import (
+                run_streaming_fcfs,
+                run_streaming_keyed,
+            )
+
+            if type(queue) is FCFSPolicy:
+                return run_streaming_fcfs(
+                    self, trace, sample_interval_seconds, chunk_requests
+                )
+            if isinstance(queue, KeyedPolicy):
+                return run_streaming_keyed(
+                    self, queue, trace, sample_interval_seconds,
+                    chunk_requests,
+                )
+            raise ConfigurationError(
+                "engine='streaming' requires FCFS or a keyed policy; got "
+                f"{type(queue).__name__}"
+            )
         if engine != "event":
             if self._vectorizable(queue, trace):
                 return run_vectorized(self, trace, sample_interval_seconds)
             if self._keyed_vectorizable(queue, trace):
                 return run_keyed(self, queue, trace, sample_interval_seconds)
+        return self._run_event(queue, trace, sample_interval_seconds)
 
+    def _run_event(
+        self, queue, trace: RequestTrace, sample_interval_seconds: float
+    ) -> SimulationSeries:
+        """The event-driven oracle for the policy families."""
         events = EventQueue()
         busy = 0
         dropped = 0

@@ -1,33 +1,39 @@
 """Streaming chunked execution: constant-memory traces, bit-identical.
 
-The vectorized engines (:mod:`repro.cluster.fast_engine`,
-:mod:`~repro.cluster.policy_engine`, :mod:`~repro.cluster.chaos_engine`,
-:mod:`~repro.cluster.control_engine`) materialize the full trace as
-per-request numpy arrays — O(trace) memory for arrivals, app ids,
-starts, completions, and the per-event series logs.  At fleet scale
-(fig13-fleet: ~10.2M requests across 100 racks) that footprint binds
-before compute does.
+A materialized run holds the full trace as per-request numpy arrays —
+O(trace) memory for arrivals, app ids, starts, completions, and the
+per-event series logs.  At fleet scale (fig13-fleet: ~10.2M requests
+across 100 racks) that footprint binds before compute does.
 
 ``engine="streaming"`` removes it.  Traces are *generated*, *dispatched*
 and *folded into telemetry* in bounded chunks of ``chunk_requests``:
 
 - **Trace side** — any source with the chunk protocol
   (:meth:`~repro.cluster.trace.RequestTrace.chunks`, or the
-  generator-backed :class:`~repro.cluster.trace.StreamedTrace`) feeds a
-  :class:`_ChunkCursor`; only one chunk is buffered at a time.
-- **Engine side** — each engine here is a port of its materialized twin
-  operating through the cursor: identical heaps, identical pass-A
-  window cuts, identical serial fallbacks, and the same
+  generator-backed :class:`~repro.cluster.trace.StreamedTrace`) is read
+  through :func:`trace_chunks`, which validates the streaming contract;
+  only one chunk is buffered at a time.
+- **Engine side** — the chaos and control families each have *one*
+  chunked kernel (:func:`~repro.cluster.chaos_engine.run_chaos_chunked`,
+  :func:`~repro.cluster.control_engine.run_control_chunked`) that serves
+  both ``engine="vectorized"`` and ``engine="streaming"``.  The kernel
+  appends events to the plain per-chunk columns of a sink and flushes
+  them once per trace chunk; the sink alone decides where they go —
+  :class:`SeriesSink` concatenates them into a
+  :class:`~repro.cluster.simulation.SimulationSeries` (the whole trace
+  read as one chunk), :class:`StreamedSink` folds them into a
+  :class:`StreamedSeries`.  FCFS and keyed policies still run through
+  streaming ports of their materialized engines
+  (:func:`run_streaming_fcfs`, :func:`run_streaming_keyed`), reading a
+  :class:`_ChunkCursor` with identical heaps, pass-A window cuts and
+  serial fallbacks.  Every path uses the same
   :class:`~repro.cluster.fast_engine._ServicePools` tentative-draw RNG
-  rollback at every cut.  Chunk boundaries only partition the work;
-  every per-request decision, every service draw, and the RNG end
-  state are unchanged — the materialized engines are themselves
-  invariant to their internal chunking, which is exactly the property
-  the oracle-equivalence suites prove.
+  rollback at every cut, so chunk boundaries only partition the work:
+  every per-request decision, every service draw, and the RNG end state
+  are unchanged.
 - **Telemetry side** — instead of whole-trace arrays, results fold
-  incrementally into a :class:`StreamedSeries`: tick series via
-  :class:`_TickHist` running histograms (one int64 cell per sample
-  tick), latency percentiles via the PR 9 mergeable
+  incrementally into a :class:`StreamedSeries`: tick series as running
+  per-tick counts, latency percentiles via the mergeable
   :class:`~repro.sim.stats.QuantileSketch`, per-bucket latency sums and
   per-reason drop counters.  Completions are folded in the *canonical*
   order (completion time, start order) — the order the materialized
@@ -45,10 +51,10 @@ end state, for any ``chunk_requests`` — enforced by
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import count
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,19 +65,12 @@ from repro.cluster.fast_engine import (
     _ServicePools,
     sample_tick_times,
 )
-from repro.cluster.faults import (
-    DROP_REASONS,
-    REASON_CRASHED,
-    REASON_QUEUE_FULL,
-    REASON_SHED,
-    REASON_TIMEOUT,
-    RetryPolicy,
-)
-from repro.cluster.schedulers import FCFSPolicy, KeyedPolicy
+from repro.cluster.faults import DROP_REASONS, REASON_QUEUE_FULL
 from repro.errors import ConfigurationError, SchedulingError, SimulationError
 from repro.sim.stats import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.cluster.schedulers import KeyedPolicy
     from repro.cluster.simulation import RackSimulation, SimulationSeries
 
 _INF = float("inf")
@@ -467,38 +466,25 @@ class StreamedSeries:
 class _CompletionFold:
     """Bounded buffer emitting completions to a series in canonical order.
 
-    Two modes:
-
-    - ``presorted=True`` (chaos/control): the engine emits at pending-
-      heap pops, which are already in canonical (completion, start
-      order); the buffer just batches them and auto-flushes.
-    - ``presorted=False`` (FCFS/keyed): the engine emits at *admission/
-      start* in start order, where completions are not sorted.  The
-      engine flushes with a watermark no future completion can undercut
-      (``min(next arrival, pending heap min)``); a stable sort then
-      emits exactly the canonical prefix below it and carries the rest.
+    The FCFS and keyed ports emit at *admission/start* in start order,
+    where completions are not sorted.  The engine flushes with a
+    watermark no future completion can undercut (``min(next arrival,
+    pending heap min)``); a stable sort then emits exactly the canonical
+    prefix below it and carries the rest.
     """
 
-    __slots__ = ("_series", "_limit", "_presorted", "_parts", "_scalars",
-                 "_scalar_lats", "_apps", "_count")
+    __slots__ = ("_series", "_limit", "_parts", "_scalars", "_scalar_lats",
+                 "_count")
 
-    def __init__(
-        self,
-        series: StreamedSeries,
-        limit: int,
-        presorted: bool,
-        track_apps: bool = False,
-    ) -> None:
+    def __init__(self, series: StreamedSeries, limit: int) -> None:
         self._series = series
         self._limit = max(int(limit), 1)
-        self._presorted = presorted
         # Batch emissions park their arrays as-is (zero per-element
         # cost); scalar emissions accumulate in lists and spill to an
         # array part when a batch follows, preserving append order.
         self._parts: List[Tuple[np.ndarray, np.ndarray]] = []
         self._scalars: List[float] = []
         self._scalar_lats: List[float] = []
-        self._apps: Optional[List[int]] = [] if track_apps else None
         self._count = 0
 
     def __len__(self) -> int:
@@ -508,14 +494,10 @@ class _CompletionFold:
     def limit(self) -> int:
         return self._limit
 
-    def emit(self, comp: float, lat: float, app: int = -1) -> None:
+    def emit(self, comp: float, lat: float) -> None:
         self._scalars.append(comp)
         self._scalar_lats.append(lat)
-        if self._apps is not None:
-            self._apps.append(app)
         self._count += 1
-        if self._presorted and self._count >= self._limit:
-            self.flush(_INF)
 
     def emit_batch(self, comps: np.ndarray, lats: np.ndarray) -> None:
         if self._scalars:
@@ -532,25 +514,6 @@ class _CompletionFold:
 
     def flush(self, watermark: float) -> None:
         if self._count == 0:
-            return
-        if self._presorted:
-            # Only the scalar path feeds presorted folds (chaos/control
-            # emit one completion per pending-heap pop).
-            apps = (
-                np.asarray(self._apps, dtype=np.int64)
-                if self._apps is not None
-                else None
-            )
-            self._series.fold_completions(
-                np.asarray(self._scalars),
-                np.asarray(self._scalar_lats),
-                apps,
-            )
-            self._scalars = []
-            self._scalar_lats = []
-            if self._apps is not None:
-                self._apps = []
-            self._count = 0
             return
         if self._scalars:
             self._spill()
@@ -578,56 +541,66 @@ class _CompletionFold:
         self._count = len(keep)
 
 
+def trace_chunks(
+    source, chunk_requests: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``source``'s non-empty chunks as (arrivals, app ids) arrays.
+
+    Validates the streaming contract on the way: equal-length arrays,
+    arrivals sorted within the chunk and non-decreasing across chunk
+    boundaries.
+    """
+    last = -_INF
+    for chunk in source.chunks(chunk_requests):
+        arr = np.asarray(chunk.arrival_seconds, dtype=np.float64)
+        ids = np.asarray(chunk.app_ids, dtype=np.intp)
+        if len(arr) != len(ids):
+            raise ConfigurationError(
+                "trace chunk arrivals and app ids differ in length"
+            )
+        if len(arr) == 0:
+            continue
+        if np.any(np.diff(arr) < 0) or float(arr[0]) < last:
+            raise ConfigurationError(
+                "engine='streaming' requires a time-ordered trace; "
+                "chunk arrivals regress"
+            )
+        last = float(arr[-1])
+        yield arr, ids
+
+
 class _ChunkCursor:
     """One-chunk-at-a-time view of a streamed trace source.
 
-    Buffers exactly one :class:`~repro.cluster.trace.TraceChunk`,
-    validating the streaming contract on refill (equal-length arrays,
-    sorted within the chunk, non-decreasing across the boundary).
+    Buffers exactly one validated chunk of :func:`trace_chunks`.
     ``index`` is the global trace index of the next request — the
     engines' admission sequence / ``qseq`` space.
     """
 
     def __init__(self, source, chunk_requests: int) -> None:
-        self._chunks = source.chunks(chunk_requests)
+        self._chunks = trace_chunks(source, chunk_requests)
         self._arr = np.zeros(0)
         self._ids = np.zeros(0, dtype=np.intp)
         self._arr_list: List[float] = []
         self._ids_list: List[int] = []
         self._pos = 0
         self._base = 0
-        self._last = -_INF
         self._exhausted = False
 
     def _refill(self) -> None:
-        while not self._exhausted and self._pos >= len(self._arr_list):
-            self._base += len(self._arr_list)
-            self._pos = 0
+        if self._exhausted or self._pos < len(self._arr_list):
+            return
+        self._base += len(self._arr_list)
+        self._pos = 0
+        chunk = next(self._chunks, None)
+        if chunk is None:
             self._arr_list = []
             self._ids_list = []
-            try:
-                chunk = next(self._chunks)
-            except StopIteration:
-                self._exhausted = True
-                return
-            arr = np.asarray(chunk.arrival_seconds, dtype=np.float64)
-            ids = np.asarray(chunk.app_ids, dtype=np.intp)
-            if len(arr) != len(ids):
-                raise ConfigurationError(
-                    "trace chunk arrivals and app ids differ in length"
-                )
-            if len(arr) == 0:
-                continue
-            if np.any(np.diff(arr) < 0) or float(arr[0]) < self._last:
-                raise ConfigurationError(
-                    "engine='streaming' requires a time-ordered trace; "
-                    "chunk arrivals regress"
-                )
-            self._last = float(arr[-1])
-            self._arr = arr
-            self._ids = ids
-            self._arr_list = arr.tolist()
-            self._ids_list = ids.tolist()
+            self._exhausted = True
+            return
+        self._arr, self._ids = chunk
+        self._arr_list = self._arr.tolist()
+        self._ids_list = self._ids.tolist()
 
     @property
     def index(self) -> int:
@@ -708,9 +681,7 @@ def run_streaming_fcfs(
     qarr_hist = _TickHist(ticks)
     qstart_hist = _TickHist(ticks)
     comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(
-        series, max(chunk_requests, _FOLD_MIN), presorted=False
-    )
+    fold = _CompletionFold(series, max(chunk_requests, _FOLD_MIN))
 
     avail: List[float] = [0.0] * c  # heap of server-free times
     pending: List[float] = []  # heap of in-system completion times
@@ -906,9 +877,7 @@ def run_streaming_keyed(
     qarr_hist = _TickHist(ticks)
     qstart_hist = _TickHist(ticks)
     comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(
-        series, max(chunk_requests, _FOLD_MIN), presorted=False
-    )
+    fold = _CompletionFold(series, max(chunk_requests, _FOLD_MIN))
 
     pending: List[float] = []
     queue: List[tuple] = []
@@ -1040,972 +1009,184 @@ def run_streaming_keyed(
     return series.finalize()
 
 
-def run_streaming_chaos(
-    sim: "RackSimulation",
-    policy: "KeyedPolicy",
-    source,
-    sample_interval_seconds: float,
-    timeline,
-    retry: RetryPolicy,
-    chunk_requests: int,
-) -> StreamedSeries:
-    """Streaming port of
-    :func:`~repro.cluster.chaos_engine.run_chaos_vectorized`.
+class _KernelSink:
+    """Per-chunk event columns of a chunked kernel, and where they go.
 
-    The same next-event loop over five sources; per-start logs collapse
-    to a ``flight`` dict holding live starts only, and completions emit
-    to the fold at pending-heap pops — already canonical (completion,
-    start order), so no watermark sort is needed.
+    The chaos and control kernels append to these typed arrays as events
+    happen (8 bytes an event, no per-event objects), and :meth:`read`
+    flushes them once per trace chunk.  Every
+    column is appended in event order, hence time-sorted, so a flush
+    turns it into per-tick counts with one ``searchsorted`` over the
+    tick grid, then hands the per-request records — completions in the
+    canonical (completion, start order) order, reasoned drops in event
+    order — to :meth:`_take`.  Subclasses differ only in :meth:`_take`
+    and :meth:`close`.
+
+    ``chunk_requests`` is the trace chunk size the kernel reads; ``None``
+    reads the whole trace as one chunk.
     """
-    cursor = _ChunkCursor(source, chunk_requests)
-    _check_first_arrival(cursor)
-    n = source.total_requests
-    cap = timeline.initial_capacity
-    qmax = sim._queue_depth
-    timeout = retry.timeout_seconds
-    hedge = retry.hedge_after_seconds
-    max_retries = retry.max_retries
-    multiplier_at = timeline.multiplier_at
-    observe_app = policy.observe_app
-    service_time = sim._service_time
 
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
-    pools = _ServicePools(sim, app_names)
-    prefixes = [policy.key.key_for(name) for name in app_names]
+    chunk_requests: Optional[int] = None
 
-    fault_times = timeline.times.tolist()
-    fault_caps = timeline.capacities.tolist()
-    n_faults = len(fault_times)
-    has_slowdowns = len(timeline.slow_starts) > 0
-
-    ticks = sample_tick_times(
-        source.duration_seconds, sample_interval_seconds
-    )
-    series = StreamedSeries(
-        ticks,
-        total_requests=n,
-        engine="streaming",
-        chunk_requests=chunk_requests,
-        app_catalog=tuple(app_names),
-    )
-    spre_hist = _TickHist(ticks)
-    spost_hist = _TickHist(ticks)
-    enq_hist = _TickHist(ticks)
-    deqpre_hist = _TickHist(ticks)
-    deqpost_hist = _TickHist(ticks)
-    kill_hist = _TickHist(ticks)
-    comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(
-        series, max(chunk_requests, _FOLD_MIN), presorted=True
-    )
-
-    # Queue entries: ``prefix + request`` where a request is the tuple
-    # ``(qseq, app_id, orig_seq, attempt, orig_arrival)``.
-    qheap: List[tuple] = []
-    queued: set = set()
-    timers: List[tuple] = []  # (deadline, push order, request)
-    injected: List[tuple] = []  # (time, push order, request)
-    pending: List[Tuple[float, int]] = []  # (completion, start_seq)
-    # Live starts only: seq -> (done, orig_arrival, orig_seq, attempt,
-    # app_id) — the constant-memory replacement for the materialized
-    # engine's per-start logs + alive set.
-    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
-    timer_counter = count()
-    injected_counter = count()
-    busy = 0
-    start_counter = 0
-    retry_counter = 0
-    retries = timeouts = crash_kills = 0
-    hedges_launched = hedge_wins = 0
-
-    def start(
-        app_id: int,
-        now: float,
-        orig_arrival: float,
-        orig_seq: int,
-        attempt: int,
-        pre_tick: bool,
+    def open(
+        self,
+        ticks: np.ndarray,
+        total_requests: int,
+        app_catalog: Tuple[str, ...],
+        track_apps: bool = False,
     ) -> None:
-        nonlocal busy, start_counter, hedges_launched, hedge_wins
-        sample = service_time(app_names[app_id])
-        mult = multiplier_at(now)
-        effective = mult * sample
-        if hedge is not None:
-            backup = service_time(app_names[app_id])
-            alternative = hedge + mult * backup
-            if effective > hedge:
-                hedges_launched += 1
-            if alternative < effective:
-                hedge_wins += 1
-                effective = alternative
-        done = now + effective
-        seq = start_counter
-        start_counter += 1
-        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
-        heappush(pending, (done, seq))
-        busy += 1
-        if pre_tick:
-            spre_hist.add(now, inclusive=True)
-        else:
-            spost_hist.add(now, inclusive=False)
+        self.ticks = ticks
+        self.total_requests = total_requests
+        self.app_catalog = app_catalog
+        self.track_apps = track_apps
+        # Busy-count columns.  ``pre`` events rank before an equal-time
+        # sample tick (visible to it), ``post`` events after it.
+        self.starts_pre = array("d")
+        self.starts_post = array("d")
+        self.kills = array("d")
+        # Queue-depth columns; dequeues cover dispatches, timeouts and
+        # sheds.
+        self.enqueues = array("d")
+        self.deq_pre = array("d")
+        self.deq_post = array("d")
+        # Per-request records; completion times also count as departures.
+        self.comp_times = array("d")
+        self.comp_lats = array("d")
+        self.comp_apps = array("q")
+        self.drop_times = array("d")
+        self.drop_reasons = array("b")
+        self._busy = np.zeros(len(ticks), dtype=np.int64)
+        self._queue = np.zeros(len(ticks), dtype=np.int64)
 
-    def fail(
-        app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
-        reason: int, now: float,
-    ) -> None:
-        nonlocal retries, retry_counter
-        if attempt < max_retries:
-            retries += 1
-            delay = retry.backoff_seconds(orig_seq, attempt)
-            reattempt = (
-                n + retry_counter, app_id, orig_seq, attempt + 1,
-                orig_arrival,
-            )
-            retry_counter += 1
-            heappush(
-                injected, (now + delay, next(injected_counter), reattempt)
-            )
-        else:
-            series.fold_drop(now, reason)
+    def read(self, source, pools: _ServicePools) -> Iterator[tuple]:
+        """``source`` as ``(base, arrivals, app ids, arrivals list, app
+        ids list)`` chunks, ``base`` the global trace index of the
+        chunk's first request.
 
-    def dispatch(now: float, pre_tick: bool) -> None:
-        while True:
-            entry = heappop(qheap)
-            request = entry[-5:]
-            if request[0] in queued:
-                break
-        queued.discard(request[0])
-        if pre_tick:
-            deqpre_hist.add(now, inclusive=True)
-        else:
-            deqpost_hist.add(now, inclusive=False)
-        start(request[1], now, request[4], request[2], request[3], pre_tick)
-
-    def admit(request: tuple, now: float) -> None:
-        qseq, app_id, orig_seq, attempt, orig_arrival = request
-        if busy < cap:
-            observe_app(app_names[app_id])
-            start(app_id, now, orig_arrival, orig_seq, attempt, True)
-        elif len(queued) < qmax:
-            observe_app(app_names[app_id])
-            heappush(qheap, prefixes[app_id] + request)
-            queued.add(qseq)
-            enq_hist.add(now, inclusive=True)
-            if timeout is not None:
-                heappush(
-                    timers, (now + timeout, next(timer_counter), request)
+        Between chunks the columns are flushed and, with bounded chunks,
+        consumed service-pool prefixes are compacted away, so the pools
+        stay bounded too.
+        """
+        size = self.chunk_requests or max(source.total_requests, 1)
+        base = 0
+        for arr, ids in trace_chunks(source, size):
+            if arr[0] < 0:
+                raise SimulationError(
+                    f"event scheduled at negative time {float(arr[0])}"
                 )
-        else:
-            fail(
-                app_id, orig_seq, attempt, orig_arrival,
-                REASON_QUEUE_FULL, now,
-            )
-
-    k = 0
-    chunk_size = _CHUNK_MIN
-    next_compact = chunk_requests
-    while True:
-        if cursor.index >= next_compact:
-            # The serial start/fail kernels draw pool samples without a
-            # peek/commit cycle; compact once per chunk of arrivals.
-            pools.compact()
-            next_compact = cursor.index + chunk_requests
-        # Timers whose entries were served (or already failed) are dead;
-        # with an empty queue every timer is.
-        if not queued:
-            if timers:
-                timers.clear()
-        else:
-            while timers and timers[0][2][0] not in queued:
-                heappop(timers)
-
-        t_fault = fault_times[k] if k < n_faults else _INF
-        t_timer = timers[0][0] if timers else _INF
-        t_trace = cursor.peek_time()
-        t_injected = injected[0][0] if injected else _INF
-        t_next = min(t_fault, t_timer, t_trace, t_injected)
-
-        # Completions strictly before the next ranked event fire first
-        # (equal timestamps fire after: completion has the last rank),
-        # each freeing a server for the current min-key queued request.
-        # Pops arrive in (completion, start order) — the canonical fold
-        # order.
-        while pending and pending[0][0] < t_next:
-            done, seq = heappop(pending)
-            busy -= 1
-            rec = flight.pop(seq)
-            comp_hist.add(done, inclusive=False)
-            fold.emit(done, done - rec[1])
-            if queued and busy < cap:
-                dispatch(done, False)
-        if t_next == _INF:
-            break
-
-        # ---- Fault event: capacity step -----------------------------
-        if t_fault == t_next:
-            new_cap = int(fault_caps[k])
-            k += 1
-            if new_cap < busy:
-                shortfall = busy - new_cap
-                victims = sorted(
-                    (rec[0], s) for s, rec in flight.items()
-                )[-shortfall:]
-                doomed = {seq for _, seq in victims}
-                for _, seq in reversed(victims):
-                    rec = flight.pop(seq)
-                    busy -= 1
-                    crash_kills += 1
-                    kill_hist.add(t_fault, inclusive=True)
-                    fail(
-                        rec[4], rec[2], rec[3], rec[1],
-                        REASON_CRASHED, t_fault,
-                    )
-                pending = [e for e in pending if e[1] not in doomed]
-                heapify(pending)
-            cap = new_cap
-            while queued and busy < cap:
-                dispatch(t_fault, True)
-            continue
-
-        # ---- Timeout timer ------------------------------------------
-        if t_timer == t_next:
-            _, _, request = heappop(timers)
-            if request[0] in queued:  # may have been served by the drain
-                queued.discard(request[0])
-                deqpre_hist.add(t_timer, inclusive=True)
-                timeouts += 1
-                fail(
-                    request[1], request[2], request[3], request[4],
-                    REASON_TIMEOUT, t_timer,
-                )
-            continue
-
-        # ---- Trace arrival (before an injected one at the same time) -
-        if t_trace == t_next and t_trace <= t_injected:
-            if not queued and busy < cap:
-                # Pass A: contention-free chunk, cut at the next fault
-                # (rank before arrivals: equal-time arrivals excluded)
-                # and the next injected re-arrival (rank after trace
-                # arrivals: equal-time trace arrivals included).
-                window_arr, window_ids = cursor.window(chunk_size)
-                hi = len(window_arr)
-                if k < n_faults:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_fault, side="left"
-                        )
-                    )
-                if injected:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_injected, side="right"
-                        )
-                    )
-                unknown = np.nonzero(~known[window_ids[:hi]])[0]
-                if unknown.size:
-                    if unknown[0] == 0:
-                        raise SchedulingError(
-                            "unknown application "
-                            f"{app_names[window_ids[0]]!r}"
-                        )
-                    hi = int(unknown[0])
-                arr = window_arr[:hi]
-                ids = window_ids[:hi]
-                m = hi
-                if hedge is not None:
-                    draw_ids = np.repeat(ids, 2)
-                    values, events, snapshot = pools.peek(draw_ids)
-                    first = values[0::2]
-                    backup = values[1::2]
-                else:
-                    draw_ids = ids
-                    values, events, snapshot = pools.peek(ids)
-                    first = values
-                mults = (
-                    timeline.multipliers(arr)
-                    if has_slowdowns
-                    else np.ones(m)
-                )
-                effective_first = mults * first
-                if hedge is not None:
-                    alternative = hedge + mults * backup
-                    effective = np.minimum(effective_first, alternative)
-                else:
-                    effective = effective_first
-                comp_opt = arr + effective
-                pend_times = np.sort(
-                    np.fromiter(
-                        (e[0] for e in pending),
-                        dtype=np.float64,
-                        count=len(pending),
-                    )
-                )
-                dep_pend = np.searchsorted(pend_times, arr, side="left")
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr, side="left"
-                )
-                n_before = busy + np.arange(m) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= cap)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                pools.commit(
-                    draw_ids,
-                    2 * cut if hedge is not None else cut,
-                    events,
-                    snapshot,
-                    n_apps,
-                )
+            yield base, arr, ids, arr.tolist(), ids.tolist()
+            base += len(arr)
+            self.flush()
+            if self.chunk_requests is not None:
                 pools.compact()
-                # cut >= 1: with busy < cap the first arrival always
-                # fits.  Observation is coalesced per app per chunk
-                # (the documented set-like contract).
-                for committed_id in np.unique(ids[:cut]):
-                    observe_app(app_names[committed_id])
-                if hedge is not None:
-                    hedges_launched += int(
-                        np.count_nonzero(effective_first[:cut] > hedge)
-                    )
-                    hedge_wins += int(
-                        np.count_nonzero(
-                            alternative[:cut] < effective_first[:cut]
-                        )
-                    )
-                started = arr[:cut].tolist()
-                comps = comp_opt[:cut].tolist()
-                ids_cut = ids[:cut].tolist()
-                idx0 = cursor.index
-                base = start_counter
-                spre_hist.add_batch(arr[:cut], inclusive=True)
-                for offset in range(cut):
-                    seq = base + offset
-                    flight[seq] = (
-                        comps[offset], started[offset], idx0 + offset,
-                        0, ids_cut[offset],
-                    )
-                    pending.append((comps[offset], seq))
-                start_counter += cut
-                heapify(pending)
-                busy += cut
-                cursor.advance(cut)
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if cut == m
-                    else _CHUNK_MIN
-                )
-            else:
-                idx = cursor.index
-                _, app_id = cursor.pop()
-                admit((idx, app_id, idx, 0, t_trace), t_trace)
-            continue
 
-        # ---- Injected re-arrival ------------------------------------
-        _, _, request = heappop(injected)
-        admit(request, t_injected)
+    def flush(self) -> None:
+        ticks = self.ticks
 
-    fold.flush(_INF)
-    series.busy_instances = (
-        spre_hist.series()
-        + spost_hist.series()
-        - comp_hist.series()
-        - kill_hist.series()
-    )
-    series.queue_depth = (
-        enq_hist.series() - deqpre_hist.series() - deqpost_hist.series()
-    )
-    series.retries = retries
-    series.timeouts = timeouts
-    series.crash_kills = crash_kills
-    series.hedges_launched = hedges_launched
-    series.hedge_wins = hedge_wins
-    return series.finalize()
+        def seen(column, side: str) -> np.ndarray:
+            times = np.array(column, dtype=np.float64)
+            return np.searchsorted(times, ticks, side=side)
+
+        comps = np.array(self.comp_times, dtype=np.float64)
+        self._busy += (
+            seen(self.starts_pre, "right")
+            + seen(self.starts_post, "left")
+            - seen(comps, "left")
+            - seen(self.kills, "right")
+        )
+        self._queue += (
+            seen(self.enqueues, "right")
+            - seen(self.deq_pre, "right")
+            - seen(self.deq_post, "left")
+        )
+        self._take(
+            comps,
+            np.array(self.comp_lats, dtype=np.float64),
+            np.array(self.comp_apps, dtype=np.int64)
+            if self.track_apps
+            else None,
+            np.array(self.drop_times, dtype=np.float64),
+            np.array(self.drop_reasons, dtype=np.int8),
+        )
+        for column in (
+            self.starts_pre, self.starts_post, self.kills, self.enqueues,
+            self.deq_pre, self.deq_post, self.comp_times, self.comp_lats,
+            self.comp_apps, self.drop_times, self.drop_reasons,
+        ):
+            del column[:]
+
+    def _take(self, times, lats, apps, drop_times, drop_reasons) -> None:
+        raise NotImplementedError
+
+    def close(self, **counters):
+        """Flush the last chunk; return the run's series with the
+        kernel's ``counters`` (retries, timeouts, ...) attached."""
+        raise NotImplementedError
 
 
-def run_streaming_control(
-    sim: "RackSimulation",
-    policy: "KeyedPolicy",
-    source,
-    sample_interval_seconds: float,
-    timeline,
-    retry: RetryPolicy,
-    plane,
-    chunk_requests: int,
-) -> StreamedSeries:
-    """Streaming port of
-    :func:`~repro.cluster.control_engine.run_control_vectorized`.
-
-    The chaos port plus the two control event sources (decision ticks,
-    warmup activations), the vectorized arrival gate, and the shared
-    :class:`~repro.cluster.control.ControllerState` fed the identical
-    observations in the identical order.
+class SeriesSink(_KernelSink):
+    """``engine="vectorized"``: the whole trace as one chunk, records
+    concatenated into a :class:`~repro.cluster.simulation.SimulationSeries`.
     """
-    from repro.cluster.control import ControllerState
-    from repro.cluster.control_engine import _live_series
 
-    cursor = _ChunkCursor(source, chunk_requests)
-    _check_first_arrival(cursor)
-    n = source.total_requests
-    qmax = sim._queue_depth
-    timeout = retry.timeout_seconds
-    hedge = retry.hedge_after_seconds
-    max_retries = retry.max_retries
-    multiplier_at = timeline.multiplier_at
-    observe_app = policy.observe_app
-    service_time = sim._service_time
+    def __init__(self) -> None:
+        self._parts: List[tuple] = []
 
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
-    pools = _ServicePools(sim, app_names)
-    prefixes = [policy.key.key_for(name) for name in app_names]
+    def _take(self, *record) -> None:
+        self._parts.append(record)
 
-    state = ControllerState(plane, sim._max_instances, app_names)
-    windows = state.windows_active
-    gating = state.gating_active
-    surviving = timeline.initial_capacity
-    cap = min(state.live, surviving)
+    def close(self, **counters) -> "SimulationSeries":
+        from repro.cluster.simulation import SimulationSeries
 
-    fault_times = timeline.times.tolist()
-    fault_caps = timeline.capacities.tolist()
-    n_faults = len(fault_times)
-    has_slowdowns = len(timeline.slow_starts) > 0
-
-    ctrl_times = sample_tick_times(
-        source.duration_seconds, plane.control_interval_seconds
-    ).tolist()
-    n_ctrl = len(ctrl_times)
-    jc = 0
-    activations: List[Tuple[float, int, int]] = []  # (time, order, target)
-    activation_counter = count()
-
-    ticks = sample_tick_times(
-        source.duration_seconds, sample_interval_seconds
-    )
-    series = StreamedSeries(
-        ticks,
-        total_requests=n,
-        engine="streaming",
-        chunk_requests=chunk_requests,
-        app_catalog=tuple(app_names),
-    )
-    spre_hist = _TickHist(ticks)
-    spost_hist = _TickHist(ticks)
-    enq_hist = _TickHist(ticks)
-    deqpre_hist = _TickHist(ticks)
-    deqpost_hist = _TickHist(ticks)
-    kill_hist = _TickHist(ticks)
-    comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(
-        series, max(chunk_requests, _FOLD_MIN),
-        presorted=True, track_apps=True,
-    )
-
-    qheap: List[tuple] = []
-    # qseq -> (enqueue time, heap sort key); doubles as the queued set.
-    queued: Dict[int, Tuple[float, tuple]] = {}
-    timers: List[tuple] = []
-    injected: List[tuple] = []
-    pending: List[Tuple[float, int]] = []  # (completion, start_seq)
-    flight: Dict[int, Tuple[float, float, int, int, int]] = {}
-    timer_counter = count()
-    injected_counter = count()
-    busy = 0
-    start_counter = 0
-    retry_counter = 0
-    retries = timeouts = crash_kills = 0
-    hedges_launched = hedge_wins = 0
-
-    def start(
-        app_id: int,
-        now: float,
-        orig_arrival: float,
-        orig_seq: int,
-        attempt: int,
-        pre_tick: bool,
-    ) -> None:
-        nonlocal busy, start_counter, hedges_launched, hedge_wins
-        sample = service_time(app_names[app_id])
-        mult = multiplier_at(now)
-        effective = mult * sample
-        if hedge is not None:
-            backup = service_time(app_names[app_id])
-            alternative = hedge + mult * backup
-            if effective > hedge:
-                hedges_launched += 1
-            if alternative < effective:
-                hedge_wins += 1
-                effective = alternative
-        done = now + effective
-        seq = start_counter
-        start_counter += 1
-        flight[seq] = (done, orig_arrival, orig_seq, attempt, app_id)
-        heappush(pending, (done, seq))
-        busy += 1
-        if pre_tick:
-            spre_hist.add(now, inclusive=True)
-        else:
-            spost_hist.add(now, inclusive=False)
-
-    def fail(
-        app_id: int, orig_seq: int, attempt: int, orig_arrival: float,
-        reason: int, now: float,
-    ) -> None:
-        nonlocal retries, retry_counter
-        if windows:
-            state.record_failure(app_id)
-        if attempt < max_retries:
-            retries += 1
-            delay = retry.backoff_seconds(orig_seq, attempt)
-            reattempt = (
-                n + retry_counter, app_id, orig_seq, attempt + 1,
-                orig_arrival,
-            )
-            retry_counter += 1
-            heappush(
-                injected, (now + delay, next(injected_counter), reattempt)
-            )
-        else:
-            series.fold_drop(now, reason)
-
-    def shed_drop(now: float) -> None:
-        series.fold_drop(now, REASON_SHED)
-
-    def dispatch(now: float, pre_tick: bool) -> None:
-        while True:
-            entry = heappop(qheap)
-            request = entry[-5:]
-            if request[0] in queued:
-                break
-        queued.pop(request[0])
-        if pre_tick:
-            deqpre_hist.add(now, inclusive=True)
-        else:
-            deqpost_hist.add(now, inclusive=False)
-        start(request[1], now, request[4], request[2], request[3], pre_tick)
-
-    def admit(request: tuple, now: float) -> None:
-        qseq, app_id, orig_seq, attempt, orig_arrival = request
-        if not known[app_id]:
-            raise SchedulingError(
-                f"unknown application {app_names[app_id]!r}"
-            )
-        if not state.admit(app_id):
-            shed_drop(now)
-            return
-        if busy < cap:
-            observe_app(app_names[app_id])
-            start(app_id, now, orig_arrival, orig_seq, attempt, True)
-        elif len(queued) < qmax:
-            observe_app(app_names[app_id])
-            entry = prefixes[app_id] + request
-            heappush(qheap, entry)
-            queued[qseq] = (now, entry[:-4])
-            enq_hist.add(now, inclusive=True)
-            if timeout is not None:
-                heappush(
-                    timers, (now + timeout, next(timer_counter), request)
-                )
-        else:
-            fail(
-                app_id, orig_seq, attempt, orig_arrival,
-                REASON_QUEUE_FULL, now,
-            )
-
-    k = 0
-    chunk_size = _CHUNK_MIN
-    next_compact = chunk_requests
-    while True:
-        if cursor.index >= next_compact:
-            # The serial start/fail kernels draw pool samples without a
-            # peek/commit cycle; compact once per chunk of arrivals.
-            pools.compact()
-            next_compact = cursor.index + chunk_requests
-        if not queued:
-            if timers:
-                timers.clear()
-        else:
-            while timers and timers[0][2][0] not in queued:
-                heappop(timers)
-
-        t_fault = fault_times[k] if k < n_faults else _INF
-        t_decision = ctrl_times[jc] if jc < n_ctrl else _INF
-        t_activation = activations[0][0] if activations else _INF
-        t_control = min(t_decision, t_activation)
-        t_timer = timers[0][0] if timers else _INF
-        t_trace = cursor.peek_time()
-        t_injected = injected[0][0] if injected else _INF
-        t_next = min(t_fault, t_control, t_timer, t_trace, t_injected)
-
-        # Completions strictly before the next ranked event fire first,
-        # each freeing a server and feeding the telemetry window the
-        # controller reads at its next tick.  Pops arrive in the
-        # canonical (completion, start order) fold order.
-        while pending and pending[0][0] < t_next:
-            done, seq = heappop(pending)
-            busy -= 1
-            rec = flight.pop(seq)
-            if windows:
-                state.record_completion(rec[4], done - rec[1])
-            comp_hist.add(done, inclusive=False)
-            fold.emit(done, done - rec[1], rec[4])
-            if queued and busy < cap:
-                dispatch(done, False)
-        if t_next == _INF:
-            break
-
-        # ---- Fault event: surviving-capacity step -------------------
-        if t_fault == t_next:
-            surviving = int(fault_caps[k])
-            k += 1
-            if surviving < busy:
-                shortfall = busy - surviving
-                victims = sorted(
-                    (rec[0], s) for s, rec in flight.items()
-                )[-shortfall:]
-                doomed = {seq for _, seq in victims}
-                for _, seq in reversed(victims):
-                    rec = flight.pop(seq)
-                    busy -= 1
-                    crash_kills += 1
-                    kill_hist.add(t_fault, inclusive=True)
-                    fail(
-                        rec[4], rec[2], rec[3], rec[1],
-                        REASON_CRASHED, t_fault,
-                    )
-                pending = [e for e in pending if e[1] not in doomed]
-                heapify(pending)
-            cap = min(state.live, surviving)
-            while queued and busy < cap:
-                dispatch(t_fault, True)
-            continue
-
-        # ---- Control event (decision tick before warmup activation) -
-        if t_control == t_next:
-            if t_decision <= t_activation:
-                t = t_decision
-                jc += 1
-                head_wait = None
-                if queued:
-                    head_wait = t - min(e for e, _ in queued.values())
-                shed_count, activation = state.on_tick(
-                    t, busy, len(queued), head_wait
-                )
-                if shed_count:
-                    victims = state.shed_victims(
-                        [(qseq, key) for qseq, (_, key) in queued.items()],
-                        shed_count,
-                    )
-                    for qseq in victims:
-                        queued.pop(qseq)
-                        deqpre_hist.add(t, inclusive=True)
-                        shed_drop(t)
-                if activation is not None:
-                    heappush(
-                        activations,
-                        (activation[0], next(activation_counter),
-                         activation[1]),
-                    )
-            else:
-                t, _, target = heappop(activations)
-                state.activate(t, target)
-            cap = min(state.live, surviving)
-            while queued and busy < cap:
-                dispatch(t, True)
-            continue
-
-        # ---- Timeout timer ------------------------------------------
-        if t_timer == t_next:
-            _, _, request = heappop(timers)
-            if request[0] in queued:
-                queued.pop(request[0])
-                deqpre_hist.add(t_timer, inclusive=True)
-                timeouts += 1
-                fail(
-                    request[1], request[2], request[3], request[4],
-                    REASON_TIMEOUT, t_timer,
-                )
-            continue
-
-        # ---- Trace arrival (before an injected one at the same time) -
-        if t_trace == t_next and t_trace <= t_injected:
-            if not queued and busy < cap:
-                # Pass A: contention-free chunk, cut at the next fault
-                # and control event (both ranked before arrivals:
-                # equal-time arrivals excluded) and the next injected
-                # re-arrival (ranked after: equal-time included).
-                window_arr, window_ids = cursor.window(chunk_size)
-                hi = len(window_arr)
-                if k < n_faults:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_fault, side="left"
-                        )
-                    )
-                if t_control < _INF:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_control, side="left"
-                        )
-                    )
-                if injected:
-                    hi = int(
-                        np.searchsorted(
-                            window_arr[:hi], t_injected, side="right"
-                        )
-                    )
-                unknown = np.nonzero(~known[window_ids[:hi]])[0]
-                if unknown.size:
-                    if unknown[0] == 0:
-                        raise SchedulingError(
-                            "unknown application "
-                            f"{app_names[window_ids[0]]!r}"
-                        )
-                    hi = int(unknown[0])
-                arr = window_arr[:hi]
-                ids = window_ids[:hi]
-                m = hi
-                idx0 = cursor.index
-                # Arrival gate over the chunk.  No refill interleaves
-                # (chunks are cut at control events), so the mask equals
-                # the oracle's arrival-by-arrival decisions; sheds never
-                # draw service samples.
-                if gating:
-                    mask = state.gate_mask(ids)
-                    all_admitted = bool(mask.all())
-                else:
-                    mask = None
-                    all_admitted = True
-                if all_admitted:
-                    positions = None
-                    arr_adm = arr
-                    ids_adm = ids
-                    n_adm = m
-                else:
-                    positions = np.nonzero(mask)[0]
-                    n_adm = int(positions.size)
-                    arr_adm = arr[positions]
-                    ids_adm = ids[positions]
-                if n_adm == 0:
-                    # Every arrival in the chunk is shed: no capacity
-                    # interaction, the whole chunk commits as drops.
-                    series.fold_drops(arr, REASON_SHED)
-                    cursor.advance(m)
-                    chunk_size = min(chunk_size * 2, _CHUNK_MAX)
-                    continue
-                if hedge is not None:
-                    draw_ids = np.repeat(ids_adm, 2)
-                    values, events, snapshot = pools.peek(draw_ids)
-                    first = values[0::2]
-                    backup = values[1::2]
-                else:
-                    draw_ids = ids_adm
-                    values, events, snapshot = pools.peek(ids_adm)
-                    first = values
-                mults = (
-                    timeline.multipliers(arr_adm)
-                    if has_slowdowns
-                    else np.ones(n_adm)
-                )
-                effective_first = mults * first
-                if hedge is not None:
-                    alternative = hedge + mults * backup
-                    effective = np.minimum(effective_first, alternative)
-                else:
-                    effective = effective_first
-                comp_opt = arr_adm + effective
-                pend_times = np.sort(
-                    np.fromiter(
-                        (e[0] for e in pending),
-                        dtype=np.float64,
-                        count=len(pending),
-                    )
-                )
-                dep_pend = np.searchsorted(pend_times, arr_adm, side="left")
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr_adm, side="left"
-                )
-                n_before = busy + np.arange(n_adm) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= cap)[0]
-                cut = int(crossing[0]) if crossing.size else n_adm
-                # cut >= 1: with busy < cap the first *admitted* arrival
-                # always fits, so progress is guaranteed.
-                if cut == n_adm:
-                    committed = m
-                elif positions is None:
-                    committed = cut
-                else:
-                    committed = int(positions[cut])
-                pools.commit(
-                    draw_ids,
-                    2 * cut if hedge is not None else cut,
-                    events,
-                    snapshot,
-                    n_apps,
-                )
-                pools.compact()
-                state.consume(cut)
-                if positions is not None:
-                    # Sheds below the committed boundary are final now;
-                    # later ones re-run through the serial gate (which
-                    # sees the post-spend token balance, as the oracle
-                    # does).
-                    shed_at = np.nonzero(~mask[:committed])[0]
-                    if shed_at.size:
-                        series.fold_drops(arr[shed_at], REASON_SHED)
-                for committed_id in np.unique(ids_adm[:cut]):
-                    observe_app(app_names[committed_id])
-                if hedge is not None:
-                    hedges_launched += int(
-                        np.count_nonzero(effective_first[:cut] > hedge)
-                    )
-                    hedge_wins += int(
-                        np.count_nonzero(
-                            alternative[:cut] < effective_first[:cut]
-                        )
-                    )
-                started = arr_adm[:cut].tolist()
-                comps = comp_opt[:cut].tolist()
-                ids_cut = ids_adm[:cut].tolist()
-                base = start_counter
-                spre_hist.add_batch(arr_adm[:cut], inclusive=True)
-                for offset in range(cut):
-                    orig_seq = (
-                        idx0 + offset
-                        if positions is None
-                        else idx0 + int(positions[offset])
-                    )
-                    seq = base + offset
-                    flight[seq] = (
-                        comps[offset], started[offset], orig_seq,
-                        0, ids_cut[offset],
-                    )
-                    pending.append((comps[offset], seq))
-                start_counter += cut
-                heapify(pending)
-                busy += cut
-                cursor.advance(committed)
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if committed == m
-                    else _CHUNK_MIN
-                )
-            else:
-                idx = cursor.index
-                _, app_id = cursor.pop()
-                admit((idx, app_id, idx, 0, t_trace), t_trace)
-            continue
-
-        # ---- Injected re-arrival ------------------------------------
-        _, _, request = heappop(injected)
-        admit(request, t_injected)
-
-    fold.flush(_INF)
-    series.busy_instances = (
-        spre_hist.series()
-        + spost_hist.series()
-        - comp_hist.series()
-        - kill_hist.series()
-    )
-    series.queue_depth = (
-        enq_hist.series() - deqpre_hist.series() - deqpost_hist.series()
-    )
-    series.live_instances = _live_series(state, ticks)
-    series.retries = retries
-    series.timeouts = timeouts
-    series.crash_kills = crash_kills
-    series.hedges_launched = hedges_launched
-    series.hedge_wins = hedge_wins
-    series.scale_ups = state.scale_ups
-    series.scale_downs = state.scale_downs
-    return series.finalize()
-
-
-def run_streaming(
-    sim: "RackSimulation",
-    queue,
-    source,
-    sample_interval_seconds: float,
-    chunk_requests: Optional[int] = None,
-) -> StreamedSeries:
-    """Route a streaming run to the port matching the configuration.
-
-    Mirrors :meth:`RackSimulation.run`'s routing (control subsumes
-    chaos subsumes policy), with the same configuration errors.
-
-    Generator-backed sources additionally switch the simulation's
-    service pools into bounded (windowed-replay) mode for the duration
-    of the run: with no materialized trace anywhere, the pools are the
-    last O(trace) term, and replaying recorded RNG states on clones
-    bounds them too without touching the live RNG stream.  Materialized
-    traces keep fully materialized pools — the trace already costs
-    O(n), and skipping replay there keeps streaming throughput at the
-    vectorized engines' level.
-    """
-    from repro.cluster.trace import RequestTrace
-
-    if chunk_requests is None:
-        chunk_requests = _DEFAULT_CHUNK_REQUESTS
-    if not isinstance(source, RequestTrace):
-        window = max(chunk_requests, 4096)
-        saved = sim._service_window
-        sim._service_window = window
-        try:
-            return _dispatch_streaming(
-                sim, queue, source, sample_interval_seconds, chunk_requests
-            )
-        finally:
-            sim._service_window = saved
-    return _dispatch_streaming(
-        sim, queue, source, sample_interval_seconds, chunk_requests
-    )
-
-
-def _dispatch_streaming(
-    sim: "RackSimulation",
-    queue,
-    source,
-    sample_interval_seconds: float,
-    chunk_requests: int,
-) -> StreamedSeries:
-    if sim._control_active():
-        if not isinstance(queue, KeyedPolicy):
-            raise ConfigurationError(
-                "the control plane requires a keyed policy (one "
-                "built on repro.cluster.policy_keys.PolicyKey); got "
-                f"{type(queue).__name__}"
-            )
-        timeline = sim._fault_timeline(source)
-        retry = sim._retry if sim._retry is not None else RetryPolicy()
-        return run_streaming_control(
-            sim, queue, source, sample_interval_seconds,
-            timeline, retry, sim._control, chunk_requests,
+        self.flush()
+        times, lats, apps, drop_times, drop_reasons = (
+            None if parts[0] is None else np.concatenate(parts)
+            for parts in zip(*self._parts)
         )
-    if sim._chaos_active():
-        if not isinstance(queue, KeyedPolicy):
-            raise ConfigurationError(
-                "fault injection requires a keyed policy (one built "
-                "on repro.cluster.policy_keys.PolicyKey); got "
-                f"{type(queue).__name__}"
+        if apps is not None:
+            counters.update(
+                completed_app_ids=apps, app_catalog=self.app_catalog
             )
-        timeline = sim._fault_timeline(source)
-        retry = sim._retry if sim._retry is not None else RetryPolicy()
-        return run_streaming_chaos(
-            sim, queue, source, sample_interval_seconds,
-            timeline, retry, chunk_requests,
+        return SimulationSeries(
+            sample_times=self.ticks,
+            queue_depth=self._queue,
+            busy_instances=self._busy,
+            completed_latency_seconds=lats,
+            completed_times=times,
+            dropped_requests=len(drop_times),
+            total_requests=self.total_requests,
+            dropped_times=drop_times,
+            dropped_reasons=drop_reasons,
+            **counters,
         )
-    if type(queue) is FCFSPolicy:
-        return run_streaming_fcfs(
-            sim, source, sample_interval_seconds, chunk_requests
+
+
+class StreamedSink(_KernelSink):
+    """``engine="streaming"``: bounded chunks of ``chunk_requests``,
+    records folded into a :class:`StreamedSeries` once per chunk."""
+
+    def __init__(self, chunk_requests: int) -> None:
+        self.chunk_requests = chunk_requests
+
+    def open(self, *args, **kwargs) -> None:
+        super().open(*args, **kwargs)
+        self._series = StreamedSeries(
+            self.ticks,
+            total_requests=self.total_requests,
+            engine="streaming",
+            chunk_requests=self.chunk_requests,
+            app_catalog=self.app_catalog,
         )
-    if isinstance(queue, KeyedPolicy):
-        return run_streaming_keyed(
-            sim, queue, source, sample_interval_seconds, chunk_requests
-        )
-    raise ConfigurationError(
-        "engine='streaming' requires FCFS or a keyed policy; got "
-        f"{type(queue).__name__}"
-    )
+
+    def _take(self, times, lats, apps, drop_times, drop_reasons) -> None:
+        self._series.fold_completions(times, lats, apps)
+        self._series.fold_drops(drop_times, drop_reasons)
+
+    def close(self, **counters) -> StreamedSeries:
+        self.flush()
+        series = self._series
+        series.queue_depth = self._queue
+        series.busy_instances = self._busy
+        for name, value in counters.items():
+            setattr(series, name, value)
+        return series.finalize()

@@ -8,12 +8,13 @@ timeout/kill/hedge counters, RNG end state, service-pool state — must
 match the vectorized engine exactly, across scaling policies, shedding
 configs, seeds, and fault mixes.  A disabled controller must degrade to
 the recorded ``BENCH_rack.json`` and ``BENCH_faults.json`` check hashes
-bit for bit, and the ``fig15-overload`` study must show brownout (p99 of
-admitted criticality-0 traffic within 2x of the uncongested baseline at
-4x overload) where the uncontrolled run collapses.
+bit for bit, the closed-loop study must reproduce the recorded
+``BENCH_autoscale.json`` hash, and the ``fig15-overload`` study must
+show brownout (p99 of admitted criticality-0 traffic within 2x of the
+uncongested baseline at 4x overload) where the uncontrolled run
+collapses.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from repro.cluster.control import (
     observer_plane,
 )
 from repro.cluster.faults import FaultSchedule, RetryPolicy
+from repro.cluster.fleet_engine import series_digest
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import TraceGenerator
@@ -290,46 +292,6 @@ def test_observer_plane_matches_uncontrolled_run(suite, model):
 # Controller-disabled reproduction of the recorded benchmark hashes.
 
 
-def _digest(*parts) -> str:
-    """``scripts/bench_common.digest`` re-stated (tests do not import
-    from scripts/)."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            hasher.update(part)
-        else:
-            hasher.update(repr(part).encode())
-        hasher.update(b"\x00")
-    return f"sha256:{hasher.hexdigest()}"
-
-
-def _series_digest(series_by_platform) -> str:
-    """``scripts/bench_common.series_digest`` re-stated: the full
-    series, drop times *and reasons*, availability counters, and the
-    per-reason drop breakdown (including ``shed``)."""
-    parts = []
-    for name in sorted(series_by_platform):
-        series = series_by_platform[name]
-        parts.extend(
-            [
-                name,
-                series.completed_latency_seconds.tobytes(),
-                series.completed_times.tobytes(),
-                series.queue_depth.tobytes(),
-                series.busy_instances.tobytes(),
-                series.dropped_times.tobytes(),
-                series.dropped_reasons.tobytes(),
-                series.dropped_requests,
-                series.total_requests,
-                series.retries,
-                series.timeouts,
-                series.crash_kills,
-                tuple(sorted(series.drop_breakdown().items())),
-            ]
-        )
-    return _digest(*parts)
-
-
 def _bench_workload(bench_name):
     from repro.cluster.trace import DEFAULT_RATE_ENVELOPE
     from repro.experiments.common import (
@@ -365,7 +327,7 @@ def test_disabled_controller_reproduces_bench_rack_hash():
         )
         assert not simulation._control_active()
         series[name] = simulation.run(trace, engine="vectorized")
-    assert _series_digest(series) == recorded["check_hash"]
+    assert series_digest(series) == recorded["check_hash"]
 
 
 def test_disabled_controller_reproduces_bench_faults_hash():
@@ -402,7 +364,53 @@ def test_disabled_controller_reproduces_bench_faults_hash():
         )
         assert not simulation._control_active()
         series[name] = simulation.run(trace, engine="vectorized")
-    assert _series_digest(series) == recorded["check_hash"]
+    assert series_digest(series) == recorded["check_hash"]
+
+
+def test_closed_loop_reproduces_bench_autoscale_hash():
+    """The ``BENCH_autoscale.json`` closed-loop study (the
+    ``bench_faults`` churn, a target-utilization autoscaler and a CoDel
+    shedder) must reproduce its recorded check hash on the vectorized
+    engine."""
+    recorded, context, trace, platforms = _bench_workload(
+        "BENCH_autoscale.json"
+    )
+    workload = recorded["workload"]
+    faults = FaultSchedule(
+        instance_mtbf_seconds=workload["faults"]["instance_mtbf_s"],
+        instance_mttr_seconds=30.0,
+        slowdown_rate_per_minute=1.0,
+        slowdown_multiplier=2.0,
+        slowdown_duration_seconds=5.0,
+        seed=workload["faults"]["fault_seed"],
+    )
+    plane = ControlPlane(
+        autoscaler=AutoscalerPolicy(
+            policy=workload["autoscaler"]["policy"],
+            min_instances=workload["autoscaler"]["min_instances"],
+            warmup_seconds=workload["autoscaler"]["warmup_s"],
+            scale_down_cooldown_seconds=30.0,
+        ),
+        overload=OverloadPolicy(
+            queue_delay_target_seconds=workload["overload"][
+                "queue_delay_target_s"
+            ],
+        ),
+    )
+    series = {}
+    for name in platforms:
+        simulation = RackSimulation(
+            context.models[name],
+            context.applications,
+            max_instances=workload["max_instances"],
+            seed=13,
+            faults=faults,
+            retry=RetryPolicy(timeout_seconds=5.0, max_retries=2),
+            control=plane,
+        )
+        assert simulation._control_active()
+        series[name] = simulation.run(trace, engine="vectorized")
+    assert series_digest(series) == recorded["check_hash"]
 
 
 # ----------------------------------------------------------------------

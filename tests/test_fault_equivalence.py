@@ -10,7 +10,6 @@ today's fault-free engines bit for bit, including the recorded
 ``BENCH_rack.json`` check hash.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -18,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import FaultSchedule, FaultTimeline, RetryPolicy
+from repro.cluster.fleet_engine import series_digest
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import RequestTrace, TraceGenerator
@@ -229,10 +229,13 @@ def test_zero_fault_chaos_engines_reproduce_fault_free(
     suite, models, policy
 ):
     """The chaos engines run on an empty timeline + inert retry policy
-    must equal today's fault-free engines bit for bit."""
-    from repro.cluster.chaos_engine import (
-        run_chaos_event,
-        run_chaos_vectorized,
+    must equal today's fault-free engines bit for bit: the event oracle,
+    and the one chunked kernel under both sinks."""
+    from repro.cluster.chaos_engine import run_chaos_chunked, run_chaos_event
+    from repro.cluster.streaming import (
+        SeriesSink,
+        StreamedSeries,
+        StreamedSink,
     )
 
     trace = make_trace(suite, 0.05, 2)
@@ -260,9 +263,17 @@ def test_zero_fault_chaos_engines_reproduce_fault_free(
         models["baseline"], suite, max_instances=4, seed=2, policy=factory
     )
     baseline = baseline_sim.run(trace, engine="vectorized")
-    for runner in (run_chaos_event, run_chaos_vectorized):
+    runners = (
+        (run_chaos_event, baseline),
+        (lambda *args: run_chaos_chunked(*args, SeriesSink()), baseline),
+        (
+            lambda *args: run_chaos_chunked(*args, StreamedSink(97)),
+            StreamedSeries.from_series(baseline),
+        ),
+    )
+    for runner, expected in runners:
         sim, series = chaos_run(runner)
-        assert series.identical_to(baseline)
+        assert series.identical_to(expected)
         assert repr(sim._rng.bit_generator.state) == repr(
             baseline_sim._rng.bit_generator.state
         )
@@ -314,46 +325,6 @@ def test_unsorted_trace_chaos_falls_back_to_event_engine(suite, models):
 # Zero-fault reproduction of the recorded benchmark hash.
 
 
-def _digest(*parts) -> str:
-    """``scripts/bench_common.digest`` re-stated (tests do not import
-    from scripts/)."""
-    hasher = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, bytes):
-            hasher.update(part)
-        else:
-            hasher.update(repr(part).encode())
-        hasher.update(b"\x00")
-    return f"sha256:{hasher.hexdigest()}"
-
-
-def _series_digest(series_by_platform) -> str:
-    """``scripts/bench_common.series_digest`` re-stated: the full series,
-    drop times *and reasons*, availability counters, and the per-reason
-    drop breakdown (including ``shed``)."""
-    parts = []
-    for name in sorted(series_by_platform):
-        series = series_by_platform[name]
-        parts.extend(
-            [
-                name,
-                series.completed_latency_seconds.tobytes(),
-                series.completed_times.tobytes(),
-                series.queue_depth.tobytes(),
-                series.busy_instances.tobytes(),
-                series.dropped_times.tobytes(),
-                series.dropped_reasons.tobytes(),
-                series.dropped_requests,
-                series.total_requests,
-                series.retries,
-                series.timeouts,
-                series.crash_kills,
-                tuple(sorted(series.drop_breakdown().items())),
-            ]
-        )
-    return _digest(*parts)
-
-
 def test_zero_fault_run_reproduces_bench_rack_hash():
     """The full Fig. 13 workload with inert fault/retry objects attached
     must reproduce the recorded ``BENCH_rack.json`` check hash — the
@@ -386,4 +357,4 @@ def test_zero_fault_run_reproduces_bench_rack_hash():
             retry=RetryPolicy(),
         )
         series[name] = simulation.run(trace, engine="vectorized")
-    assert _series_digest(series) == recorded["check_hash"]
+    assert series_digest(series) == recorded["check_hash"]
