@@ -5,20 +5,24 @@ trace for 20 minutes, with a pluggable scheduler holding up to 10,000
 queued requests.  Produces the arrival/queue-depth/latency time series
 of Fig. 13 and the wall-clock comparison of §6.2.2.  Every scheduling
 policy is a :class:`~repro.cluster.policy_keys.PolicyKey` (static
-per-app key vector + sequence tie-break) driving two bit-identical
-backends: FCFS runs execute on the vectorized busy-period engine
-(:mod:`repro.cluster.fast_engine`), keyed policies (SJF, criticality,
-DAG-aware) on the index-priority engine
-(:mod:`repro.cluster.policy_engine`), both enforced against the
-event-driven oracle; :mod:`repro.cluster.sweep` fans scenario grids out
-over shared traces and service samples.
+per-app key vector + sequence tie-break).  Every engine family is one
+event-driven oracle plus one chunked kernel: FCFS runs on the busy-period
+kernel (:mod:`repro.cluster.fast_engine`), keyed policies (SJF,
+criticality, DAG-aware) on the index-priority kernel
+(:mod:`repro.cluster.policy_engine`), both bit-identical to the oracle.
+A kernel appends its events to the columns of a sink
+(:mod:`repro.cluster.streaming`), which alone decides whether the run is
+materialized (``engine="vectorized"``) or folded into constant-memory
+telemetry chunk by chunk (``engine="streaming"``);
+:mod:`repro.cluster.sweep` fans scenario grids out over shared traces
+and service samples.
 
 Fault injection rides on top: a seeded
 :class:`~repro.cluster.faults.FaultSchedule` (instance crashes,
 correlated node outages, slowdown spikes) and a
 :class:`~repro.cluster.faults.RetryPolicy` (queue timeouts, bounded
 retries with backoff + jitter, hedged dispatch) perturb any simulation
-deterministically; the chaos engines in
+deterministically; the chaos oracle and kernel in
 :mod:`repro.cluster.chaos_engine` are bit-identical to each other and
 degrade to the fault-free engines when the schedule is inert.
 
@@ -29,7 +33,8 @@ scaling with warmup delays and graceful scale-downs, composing with
 fault timelines as ``min(autoscaled, surviving)``) and overload
 protection (token-bucket admission, CoDel-style queue-delay shedding,
 brownout by criticality, per-app circuit breakers) — again through two
-bit-identical engines (:mod:`repro.cluster.control_engine`), with every
+bit-identical engines, oracle and kernel
+(:mod:`repro.cluster.control_engine`), with every
 shed recorded under the terminal ``shed`` drop reason.
 
 The fleet layer (:mod:`repro.cluster.fleet`) scales all of the above to

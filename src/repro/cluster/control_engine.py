@@ -451,7 +451,6 @@ def run_control_chunked(
     start_post = sink.starts_post.append
     enqueued = sink.enqueues.append
     dequeued_pre = sink.deq_pre.append
-    dequeued_post = sink.deq_post.append
     killed = sink.kills.append
     completed = sink.comp_times.append
     completed_lat = sink.comp_lats.append
@@ -539,7 +538,8 @@ def run_control_chunked(
             if request[0] in queued:
                 break
         queued.pop(request[0])
-        (dequeued_pre if pre_tick else dequeued_post)(now)
+        if pre_tick:  # a post-tick start is its own dequeue (see sink)
+            dequeued_pre(now)
         start(request[1], now, request[4], request[2], request[3], pre_tick)
 
     def admit(request: tuple, now: float) -> None:

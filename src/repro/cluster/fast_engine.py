@@ -1,8 +1,10 @@
-"""Vectorized FCFS rack engine: the fast path behind ``RackSimulation.run``.
+"""The FCFS kernel: the fast path behind ``RackSimulation.run``.
 
 The event-driven simulator in :mod:`repro.cluster.simulation` fires one
 Python closure per arrival, completion, and sample tick.  For FCFS — the
-paper's deployed policy — the same dynamics admit an array formulation:
+paper's deployed policy — the same dynamics admit an array formulation,
+and :func:`run_fcfs_chunked` is that formulation as one chunked kernel
+serving both ``engine="vectorized"`` and ``engine="streaming"``:
 
 - **Virtual server assignment.**  With ``c`` interchangeable instances and
   FCFS admission, the request that is admitted ``k``-th starts at
@@ -19,19 +21,24 @@ paper's deployed policy — the same dynamics admit an array formulation:
   chunks fall back to a tight float-heap kernel (pass B), and near the
   admission limit a serial step (pass C) replays the oracle's
   drop-by-drop bookkeeping cheaply.
-- **Series reconstruction.**  Queue-depth and busy-instance series are
-  rebuilt per sample tick with ``np.searchsorted`` over the start /
-  completion arrays (honouring the event queue's arrival < tick <
-  completion tie-break), instead of firing one callback per tick.
+- **Columns, not callbacks.**  Each admission appends its start (before
+  or after an equal-time sample tick), enqueue and completion to the
+  typed columns of a sink (:mod:`repro.cluster.streaming`), which
+  rebuilds the queue-depth and busy-instance series with one
+  ``searchsorted`` per column and hands the completions on in the
+  oracle's (completion time, start order) order, once per trace chunk —
+  concatenated by a :class:`~repro.cluster.streaming.SeriesSink`,
+  folded by a :class:`~repro.cluster.streaming.StreamedSink`.
 
 Service times consume the simulation RNG in precisely the oracle's order:
 pools are drawn lazily per application (initial block at first admission,
 doubling on exhaustion), and tentative draws made while sizing a chunk are
 rolled back — RNG state and pool contents restored, the committed prefix
-replayed — whenever the chunk is cut short by a drop.  The event-driven
-path therefore remains the reference oracle, and for FCFS this engine is
-bit-identical to it: same drops, same latencies, same series, same RNG
-end state.
+replayed — whenever the chunk is cut short by a drop
+(:class:`_ServicePools`, shared by every chunked kernel).  The
+event-driven path therefore remains the reference oracle, and for FCFS
+this kernel is bit-identical to it: same drops, same latencies, same
+series, same RNG end state.
 """
 
 from __future__ import annotations
@@ -41,11 +48,12 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.cluster.faults import REASON_QUEUE_FULL
+from repro.errors import ConfigurationError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.cluster.simulation import RackSimulation, SimulationSeries
-    from repro.cluster.trace import RequestTrace
+    from repro.cluster.simulation import RackSimulation
+    from repro.cluster.streaming import _KernelSink
 
 # Adaptive chunk sizing for the batched passes: grow while chunks commit
 # whole, shrink back after a cut so drop bursts do not waste vector work.
@@ -251,209 +259,190 @@ class _ServicePools:
                 sim._service_trim[name] = trim + consumed
 
 
-def run_vectorized(
+def run_fcfs_chunked(
     sim: "RackSimulation",
-    trace: "RequestTrace",
+    source,
     sample_interval_seconds: float,
-) -> "SimulationSeries":
-    """Simulate ``trace`` under FCFS with the vectorized engine."""
-    from repro.cluster.simulation import SimulationSeries
+    sink: "_KernelSink",
+):
+    """The FCFS kernel: busy-period passes over each trace chunk.
 
-    arrivals = np.asarray(trace.arrival_seconds, dtype=np.float64)
-    n = len(arrivals)
-    if n and float(arrivals[0]) < 0:
-        raise SimulationError(
-            f"event scheduled at negative time {float(arrivals[0])}"
-        )
+    The trace is read from ``source`` chunk by chunk through ``sink``
+    (see :mod:`repro.cluster.streaming`).  Each admitted request's start
+    and completion are known the moment it is admitted, so they go to
+    the sink's columns right away; the sink restores the canonical
+    completion order.  ``sink.close`` returns the result.
+    """
     c = sim._max_instances
-    qmax = sim._queue_depth
-    capacity = c + qmax
+    capacity = c + sim._queue_depth
     serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
 
-    app_names = list(dict.fromkeys(trace.app_names))
-    name_to_id = {name: i for i, name in enumerate(app_names)}
+    app_names = list(source.app_catalog)
     n_apps = len(app_names)
-    app_ids = np.fromiter(
-        (name_to_id[name] for name in trace.app_names),
-        dtype=np.intp,
-        count=n,
-    )
     known = np.array(
         [name in sim._applications for name in app_names], dtype=bool
     )
     pools = _ServicePools(sim, app_names)
-
-    start_times = np.empty(n)
-    completion_times = np.empty(n)
-    admitted = np.zeros(n, dtype=bool)
-    dropped = 0
-    drop_times: List[float] = []
+    sink.open(
+        sample_tick_times(source.duration_seconds, sample_interval_seconds),
+        source.total_requests,
+        tuple(app_names),
+    )
+    extend = sink.extend
+    start_pre = sink.starts_pre.append
+    start_post = sink.starts_post.append
+    enqueued = sink.enqueues.append
+    completed = sink.comp_times.append
+    completed_lat = sink.comp_lats.append
+    service_time = sim._service_time
 
     avail: List[float] = [0.0] * c  # heap of server-free times
     pending: List[float] = []  # heap of in-system completion times
     admitted_count = 0
     departed_count = 0
-    arrivals_list = arrivals.tolist()
 
-    i = 0
     chunk_size = _CHUNK_MIN
-    while i < n:
-        now = arrivals_list[i]
-        while pending and pending[0] < now:
-            heapq.heappop(pending)
-            departed_count += 1
-        in_system = admitted_count - departed_count
+    for _, arrivals, app_ids, arrivals_list, ids_list in sink.read(
+        source, pools
+    ):
+        n = len(arrivals_list)
+        i = 0
+        while i < n:
+            now = arrivals_list[i]
+            while pending and pending[0] < now:
+                heapq.heappop(pending)
+                departed_count += 1
+            in_system = admitted_count - departed_count
 
-        # ---- Pass C: serial steps near the admission limit ----------
-        if in_system >= serial_threshold:
-            if in_system >= capacity:
-                dropped += 1  # busy == c and the queue is full
-                drop_times.append(now)
+            # ---- Pass C: serial steps near the admission limit ------
+            if in_system >= serial_threshold:
+                if in_system >= capacity:
+                    # busy == c and the queue is full
+                    sink.drop_times.append(now)
+                    sink.drop_reasons.append(REASON_QUEUE_FULL)
+                    i += 1
+                    continue
+                service = service_time(app_names[ids_list[i]])
+                free = avail[0]
+                start = now if now > free else free
+                completion = start + service
+                heapq.heapreplace(avail, completion)
+                heapq.heappush(pending, completion)
+                if start <= now:
+                    start_pre(now)
+                else:
+                    enqueued(now)
+                    start_post(start)
+                completed(completion)
+                completed_lat(completion - now)
+                admitted_count += 1
                 i += 1
                 continue
-            service = sim._service_time(app_names[app_ids[i]])
-            free = avail[0]
-            start = now if now > free else free
-            completion = start + service
-            heapq.heapreplace(avail, completion)
-            heapq.heappush(pending, completion)
-            start_times[i] = start
-            completion_times[i] = completion
-            admitted[i] = True
-            admitted_count += 1
-            i += 1
-            continue
 
-        # ---- Chunked passes -----------------------------------------
-        hi = min(n, i + chunk_size)
-        unknown = np.nonzero(~known[app_ids[i:hi]])[0]
-        if unknown.size:
-            if unknown[0] == 0:
-                # The queue has room, so the oracle would admit this
-                # request, draw its service time, and fail.
-                raise SchedulingError(
-                    f"unknown application {app_names[app_ids[i]]!r}"
+            # ---- Chunked passes -------------------------------------
+            hi = min(n, i + chunk_size)
+            unknown = np.nonzero(~known[app_ids[i:hi]])[0]
+            if unknown.size:
+                if unknown[0] == 0:
+                    # The queue has room, so the oracle would admit this
+                    # request, draw its service time, and fail.
+                    raise SchedulingError(
+                        f"unknown application {app_names[ids_list[i]]!r}"
+                    )
+                hi = i + int(unknown[0])
+            chunk = slice(i, hi)
+            m = hi - i
+            arr = arrivals[chunk]
+            values, events, snapshot = pools.peek(app_ids[chunk])
+            pend_sorted = np.sort(np.asarray(pending))
+            dep_pend = np.searchsorted(pend_sorted, arr, side="left")
+            offsets = np.arange(m)
+
+            committed = -1  # sentinel: chunk not resolved yet
+            drop_after = False
+            avail_is_final = False
+            all_immediate = False
+
+            # ---- Pass A: contention-free chunk (all starts immediate)
+            if in_system < c:
+                comp_opt = arr + values
+                dep_chunk = np.searchsorted(
+                    np.sort(comp_opt), arr, side="left"
                 )
-            hi = i + int(unknown[0])
-        chunk = slice(i, hi)
-        m = hi - i
-        arr = arrivals[chunk]
-        values, events, snapshot = pools.peek(app_ids[chunk])
-        pend_sorted = np.sort(np.asarray(pending))
-        dep_pend = np.searchsorted(pend_sorted, arr, side="left")
-        offsets = np.arange(m)
+                n_before = in_system + offsets - dep_pend - dep_chunk
+                crossing = np.nonzero(n_before >= c)[0]
+                cut = int(crossing[0]) if crossing.size else m
+                if cut > 0:
+                    committed = cut
+                    comps_arr = comp_opt[:cut]
+                    all_immediate = True
 
-        committed = -1  # sentinel: chunk not resolved yet
-        drop_after = False
-        avail_is_final = False
+            # ---- Pass B: heap kernel with drop detection ------------
+            if committed < 0:
+                heap = avail[:]
+                starts_l: List[float] = []
+                comps_l: List[float] = []
+                append_start = starts_l.append
+                append_comp = comps_l.append
+                heapreplace = heapq.heapreplace
+                for arrival_t, service_t in zip(
+                    arrivals_list[i:hi], values.tolist()
+                ):
+                    free = heap[0]
+                    start = arrival_t if arrival_t > free else free
+                    append_start(start)
+                    completion = start + service_t
+                    append_comp(completion)
+                    heapreplace(heap, completion)
+                comps_b = np.asarray(comps_l)
+                dep_chunk = np.searchsorted(
+                    np.sort(comps_b), arr, side="left"
+                )
+                n_before = in_system + offsets - dep_pend - dep_chunk
+                over = np.nonzero(n_before >= capacity)[0]
+                if over.size:
+                    committed = int(over[0])  # first over-capacity arrival
+                    drop_after = True
+                else:
+                    committed = m
+                    avail = heap  # final server state, already a heap
+                    avail_is_final = True
+                starts_arr = np.asarray(starts_l[:committed])
+                comps_arr = comps_b[:committed]
 
-        # ---- Pass A: contention-free chunk (all starts immediate) ---
-        if in_system < c:
-            comp_opt = arr + values
-            dep_chunk = np.searchsorted(np.sort(comp_opt), arr, side="left")
-            n_before = in_system + offsets - dep_pend - dep_chunk
-            crossing = np.nonzero(n_before >= c)[0]
-            cut = int(crossing[0]) if crossing.size else m
-            if cut > 0:
-                committed = cut
-                starts_arr = arr[:cut]
-                comps_arr = comp_opt[:cut]
-
-        # ---- Pass B: heap kernel with drop detection ----------------
-        if committed < 0:
-            heap = avail[:]
-            starts_l: List[float] = []
-            comps_l: List[float] = []
-            append_start = starts_l.append
-            append_comp = comps_l.append
-            heapreplace = heapq.heapreplace
-            for arrival_t, service_t in zip(
-                arrivals_list[i:hi], values.tolist()
-            ):
-                free = heap[0]
-                start = arrival_t if arrival_t > free else free
-                append_start(start)
-                completion = start + service_t
-                append_comp(completion)
-                heapreplace(heap, completion)
-            comps_b = np.asarray(comps_l)
-            dep_chunk = np.searchsorted(np.sort(comps_b), arr, side="left")
-            n_before = in_system + offsets - dep_pend - dep_chunk
-            over = np.nonzero(n_before >= capacity)[0]
-            if over.size:
-                committed = int(over[0])  # first over-capacity arrival
-                drop_after = True
+            # ---- Commit the resolved prefix -------------------------
+            pools.commit(app_ids[chunk], committed, events, snapshot, n_apps)
+            if committed:
+                arr_c = arr[:committed]
+                admitted_count += committed
+                pending.extend(comps_arr.tolist())
+                heapq.heapify(pending)
+                if not avail_is_final:
+                    # The c server free-times are always the c largest
+                    # completions seen so far (pop-min/push-completion
+                    # keeps exactly that invariant), so the heap can be
+                    # rebuilt from the committed prefix without
+                    # replaying it.
+                    merged = np.concatenate([np.asarray(avail), comps_arr])
+                    avail = np.partition(merged, -c)[-c:].tolist()
+                    heapq.heapify(avail)
+                if all_immediate:
+                    extend(sink.starts_pre, arr_c)
+                else:
+                    queued = starts_arr > arr_c
+                    extend(sink.starts_pre, arr_c[~queued])
+                    extend(sink.enqueues, arr_c[queued])
+                    extend(sink.starts_post, starts_arr[queued])
+                extend(sink.comp_times, comps_arr)
+                extend(sink.comp_lats, comps_arr - arr_c)
+            i += committed
+            if drop_after:
+                sink.drop_times.append(arrivals_list[i])
+                sink.drop_reasons.append(REASON_QUEUE_FULL)
+                i += 1
+            if committed == m:
+                chunk_size = min(chunk_size * 2, _CHUNK_MAX)
             else:
-                committed = m
-                avail = heap  # final server state, already a heap
-                avail_is_final = True
-            starts_arr = np.asarray(starts_l[:committed])
-            comps_arr = comps_b[:committed]
+                chunk_size = _CHUNK_MIN
 
-        # ---- Commit the resolved prefix -----------------------------
-        pools.commit(app_ids[chunk], committed, events, snapshot, n_apps)
-        if committed:
-            committed_slice = slice(i, i + committed)
-            start_times[committed_slice] = starts_arr
-            completion_times[committed_slice] = comps_arr
-            admitted[committed_slice] = True
-            admitted_count += committed
-            pending.extend(comps_arr.tolist())
-            heapq.heapify(pending)
-            if not avail_is_final:
-                # The c server free-times are always the c largest
-                # completions seen so far (pop-min/push-completion keeps
-                # exactly that invariant), so the heap can be rebuilt
-                # from the committed prefix without replaying it.
-                merged = np.concatenate([np.asarray(avail), comps_arr])
-                avail = np.partition(merged, -c)[-c:].tolist()
-                heapq.heapify(avail)
-        i += committed
-        if drop_after:
-            dropped += 1
-            drop_times.append(arrivals_list[i])
-            i += 1
-        if committed == m:
-            chunk_size = min(chunk_size * 2, _CHUNK_MAX)
-        else:
-            chunk_size = _CHUNK_MIN
-
-    # ---- Series reconstruction --------------------------------------
-    adm = np.nonzero(admitted)[0]
-    arr_adm = arrivals[adm]
-    start_adm = start_times[adm]
-    comp_adm = completion_times[adm]
-    # Completion events fire in (time, push order) order; pushes happen
-    # in admission order, so ties resolve by admission index.
-    order = np.lexsort((np.arange(len(adm)), comp_adm))
-    completed_times = comp_adm[order]
-    latencies = (comp_adm - arr_adm)[order]
-
-    ticks = sample_tick_times(trace.duration_seconds, sample_interval_seconds)
-    immediate = start_adm <= arr_adm
-    imm_arrivals = arr_adm[immediate]
-    queued_arrivals = arr_adm[~immediate]
-    queued_starts = start_adm[~immediate]
-    # Same-timestamp event order is arrival < sample tick < completion:
-    # arrivals (and with them immediate starts) at exactly a tick are
-    # visible to it, queue pops and completions at exactly a tick are not.
-    busy = (
-        np.searchsorted(imm_arrivals, ticks, side="right")
-        + np.searchsorted(queued_starts, ticks, side="left")
-        - np.searchsorted(completed_times, ticks, side="left")
-    )
-    queue_depth = np.searchsorted(
-        queued_arrivals, ticks, side="right"
-    ) - np.searchsorted(queued_starts, ticks, side="left")
-
-    return SimulationSeries(
-        sample_times=ticks,
-        queue_depth=queue_depth,
-        busy_instances=busy,
-        completed_latency_seconds=latencies,
-        completed_times=completed_times,
-        dropped_requests=dropped,
-        total_requests=n,
-        dropped_times=np.asarray(drop_times),
-        dropped_reasons=np.zeros(len(drop_times), dtype=np.int8),
-    )
+    return sink.close()

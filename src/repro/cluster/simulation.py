@@ -6,41 +6,43 @@ from the execution model's latency distribution for the request's
 application, pre-sampled in bulk for speed.  Outputs the queue-depth and
 latency time series of Fig. 13 plus aggregate wall-clock statistics.
 
-Two engines produce those series:
+Each engine family (FCFS, keyed policies, chaos, control) has two
+bit-identical implementations:
 
 - ``engine="event"`` — the reference oracle: a timestamp-ordered event
   queue firing one callback per arrival, completion, and sample tick.
-- ``engine="vectorized"`` — the numpy busy-period engine in
-  :mod:`repro.cluster.fast_engine`; for FCFS it is bit-identical to the
-  oracle (same drops, same latencies, same series, same RNG end state)
-  at a fraction of the wall-clock cost.
+- a chunked kernel — for FCFS the numpy busy-period kernel in
+  :mod:`repro.cluster.fast_engine`, for keyed policies (SJF /
+  criticality / DAG-aware — anything driven by a
+  :class:`~repro.cluster.policy_keys.PolicyKey`) the index-priority
+  kernel in :mod:`repro.cluster.policy_engine` — that reproduces the
+  oracle exactly (same drops, same latencies, same series, same RNG end
+  state) at a fraction of the wall-clock cost.  The kernel reads the
+  trace in bounded chunks; ``engine="vectorized"`` concatenates them
+  into a :class:`SimulationSeries`, ``engine="streaming"`` folds them
+  into a constant-memory
+  :class:`~repro.cluster.streaming.StreamedSeries`.
 
-The default ``engine="auto"`` picks a vectorized engine whenever the
-trace is time-ordered: FCFS runs use the busy-period engine above, and
-keyed policies (SJF / criticality / DAG-aware — anything driven by a
-:class:`~repro.cluster.policy_keys.PolicyKey`) use the index-priority
-engine in :mod:`repro.cluster.policy_engine`, which batches
-contention-free stretches and dispatches congested ones through a
-primitive-heap kernel.  Both are bit-identical to the event-driven
-oracle, which remains the fallback for unsorted traces.
+The default ``engine="auto"`` runs the kernel whenever the trace is
+time-ordered; the oracle remains the fallback for unsorted traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster.control import ControlPlane
-from repro.cluster.fast_engine import run_vectorized, sample_tick_times
+from repro.cluster.fast_engine import sample_tick_times
 from repro.cluster.faults import (
     DROP_REASONS,
     FaultSchedule,
     FaultTimeline,
     RetryPolicy,
 )
-from repro.cluster.policy_engine import run_keyed
 from repro.cluster.schedulers import (
     FCFSPolicy,
     KeyedPolicy,
@@ -595,29 +597,22 @@ class RackSimulation:
         engine: str,
         chunk_requests: Optional[int],
     ):
-        """Pick the engine family, then the engine (or sink) within it.
+        """Pick the engine family, then its oracle or its kernel + sink.
 
         Families, most general first: control, chaos, then the policy's
-        own (FCFS busy-period or keyed index-priority).  Chaos and
-        control have one chunked kernel each, fed a
-        :class:`~repro.cluster.streaming.SeriesSink` or a
-        :class:`~repro.cluster.streaming.StreamedSink`; unsorted traces
-        fall back to the event oracles.
+        own (FCFS busy-period or keyed index-priority).  Each family is
+        one event oracle and one chunked kernel; the kernel is fed a
+        :class:`~repro.cluster.streaming.SeriesSink`
+        (``engine="vectorized"``/``"auto"``) or a
+        :class:`~repro.cluster.streaming.StreamedSink`
+        (``engine="streaming"``).  ``engine="event"`` and unsorted
+        materialized traces take the oracle, as do policies outside
+        both policy families.
         """
         # Engine modules are imported on first use, keeping them out of
         # the import (and set-up) path of runs that never reach them.
         control = self._control_active()
         if control or self._chaos_active():
-            from repro.cluster.chaos_engine import (
-                run_chaos_chunked,
-                run_chaos_event,
-            )
-            from repro.cluster.control_engine import (
-                run_control_chunked,
-                run_control_event,
-            )
-            from repro.cluster.streaming import SeriesSink, StreamedSink
-
             # The control kernel subsumes the chaos dynamics (it takes
             # the fault timeline and retry policy too).  Inert
             # configurations must NOT route here: a no-op schedule,
@@ -634,47 +629,54 @@ class RackSimulation:
             retry = self._retry if self._retry is not None else RetryPolicy()
             args = (self, queue, trace, sample_interval_seconds, timeline, retry)
             if control:
+                from repro.cluster.control_engine import (
+                    run_control_chunked as kernel,
+                    run_control_event as oracle,
+                )
+
                 args += (self._control,)
-            if engine == "event" or (
-                engine != "streaming" and not self._time_ordered(trace)
-            ):
-                return (run_control_event if control else run_chaos_event)(
-                    *args
+            else:
+                from repro.cluster.chaos_engine import (
+                    run_chaos_chunked as kernel,
+                    run_chaos_event as oracle,
                 )
-            sink = (
-                StreamedSink(chunk_requests)
-                if engine == "streaming"
-                else SeriesSink()
-            )
-            return (run_control_chunked if control else run_chaos_chunked)(
-                *args, sink
-            )
 
-        if engine == "streaming":
-            from repro.cluster.streaming import (
-                run_streaming_fcfs,
-                run_streaming_keyed,
+            oracle, kernel = partial(oracle, *args), partial(kernel, *args)
+        else:
+            oracle = partial(
+                self._run_event, queue, trace, sample_interval_seconds
             )
+            if type(queue) is FCFSPolicy:  # see _vectorizable
+                from repro.cluster.fast_engine import run_fcfs_chunked
 
-            if type(queue) is FCFSPolicy:
-                return run_streaming_fcfs(
-                    self, trace, sample_interval_seconds, chunk_requests
+                kernel = partial(
+                    run_fcfs_chunked, self, trace, sample_interval_seconds
                 )
-            if isinstance(queue, KeyedPolicy):
-                return run_streaming_keyed(
-                    self, queue, trace, sample_interval_seconds,
-                    chunk_requests,
+            elif isinstance(queue, KeyedPolicy):
+                from repro.cluster.policy_engine import run_keyed_chunked
+
+                kernel = partial(
+                    run_keyed_chunked, self, queue, trace,
+                    sample_interval_seconds,
                 )
-            raise ConfigurationError(
-                "engine='streaming' requires FCFS or a keyed policy; got "
-                f"{type(queue).__name__}"
-            )
-        if engine != "event":
-            if self._vectorizable(queue, trace):
-                return run_vectorized(self, trace, sample_interval_seconds)
-            if self._keyed_vectorizable(queue, trace):
-                return run_keyed(self, queue, trace, sample_interval_seconds)
-        return self._run_event(queue, trace, sample_interval_seconds)
+            elif engine == "streaming":
+                raise ConfigurationError(
+                    "engine='streaming' requires FCFS or a keyed policy; "
+                    f"got {type(queue).__name__}"
+                )
+            else:
+                return oracle()
+        if engine == "event" or (
+            engine != "streaming" and not self._time_ordered(trace)
+        ):
+            return oracle()
+        from repro.cluster.streaming import SeriesSink, StreamedSink
+
+        return kernel(
+            StreamedSink(chunk_requests)
+            if engine == "streaming"
+            else SeriesSink()
+        )
 
     def _run_event(
         self, queue, trace: RequestTrace, sample_interval_seconds: float
@@ -789,11 +791,11 @@ class RackSimulation:
 
     @staticmethod
     def _vectorizable(queue, trace: RequestTrace) -> bool:
-        """FCFS over a time-ordered trace is what the fast engine models.
+        """Whether ``engine="vectorized"`` runs the FCFS kernel.
 
         Exactly :class:`FCFSPolicy`, not subclasses: the busy-period
-        engine has no ``observe_app`` calls, so a subclass carrying a
-        coverage hook routes to the keyed engine instead (same results,
+        kernel has no ``observe_app`` calls, so a subclass carrying a
+        coverage hook routes to the keyed kernel instead (same results,
         the hook honoured).
         """
         return type(queue) is FCFSPolicy and RackSimulation._time_ordered(
@@ -802,7 +804,8 @@ class RackSimulation:
 
     @staticmethod
     def _keyed_vectorizable(queue, trace: RequestTrace) -> bool:
-        """Any priority-key policy routes to the index-priority engine."""
+        """Whether ``engine="vectorized"`` can run the keyed kernel: any
+        priority-key policy over a time-ordered trace."""
         return isinstance(queue, KeyedPolicy) and RackSimulation._time_ordered(
             trace
         )

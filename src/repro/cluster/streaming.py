@@ -5,41 +5,39 @@ O(trace) memory for arrivals, app ids, starts, completions, and the
 per-event series logs.  At fleet scale (fig13-fleet: ~10.2M requests
 across 100 racks) that footprint binds before compute does.
 
-``engine="streaming"`` removes it.  Traces are *generated*, *dispatched*
-and *folded into telemetry* in bounded chunks of ``chunk_requests``:
+``engine="streaming"`` removes it.  Every engine family — FCFS, keyed
+policies, chaos and control — is one event oracle plus *one* chunked
+kernel (:func:`~repro.cluster.fast_engine.run_fcfs_chunked`,
+:func:`~repro.cluster.policy_engine.run_keyed_chunked`,
+:func:`~repro.cluster.chaos_engine.run_chaos_chunked`,
+:func:`~repro.cluster.control_engine.run_control_chunked`), and a sink
+alone decides whether the run is materialized or streamed:
 
-- **Trace side** — any source with the chunk protocol
+- **Trace side** — the kernel reads any source with the chunk protocol
   (:meth:`~repro.cluster.trace.RequestTrace.chunks`, or the
-  generator-backed :class:`~repro.cluster.trace.StreamedTrace`) is read
-  through :func:`trace_chunks`, which validates the streaming contract;
-  only one chunk is buffered at a time.
-- **Engine side** — the chaos and control families each have *one*
-  chunked kernel (:func:`~repro.cluster.chaos_engine.run_chaos_chunked`,
-  :func:`~repro.cluster.control_engine.run_control_chunked`) that serves
-  both ``engine="vectorized"`` and ``engine="streaming"``.  The kernel
-  appends events to the plain per-chunk columns of a sink and flushes
-  them once per trace chunk; the sink alone decides where they go —
-  :class:`SeriesSink` concatenates them into a
-  :class:`~repro.cluster.simulation.SimulationSeries` (the whole trace
-  read as one chunk), :class:`StreamedSink` folds them into a
-  :class:`StreamedSeries`.  FCFS and keyed policies still run through
-  streaming ports of their materialized engines
-  (:func:`run_streaming_fcfs`, :func:`run_streaming_keyed`), reading a
-  :class:`_ChunkCursor` with identical heaps, pass-A window cuts and
-  serial fallbacks.  Every path uses the same
+  generator-backed :class:`~repro.cluster.trace.StreamedTrace`) through
+  :meth:`_KernelSink.read`, which validates the streaming contract
+  (:func:`trace_chunks`); only one chunk is buffered at a time.
+- **Engine side** — the kernel appends events to the sink's plain typed
+  columns (starts, enqueues, dequeues, kills, completions, drops) and
+  the sink flushes them once per trace chunk.  Every kernel uses the
   :class:`~repro.cluster.fast_engine._ServicePools` tentative-draw RNG
   rollback at every cut, so chunk boundaries only partition the work:
   every per-request decision, every service draw, and the RNG end state
   are unchanged.
-- **Telemetry side** — instead of whole-trace arrays, results fold
-  incrementally into a :class:`StreamedSeries`: tick series as running
-  per-tick counts, latency percentiles via the mergeable
+- **Telemetry side** — :class:`SeriesSink` (``engine="vectorized"``)
+  concatenates every chunk's records into a
+  :class:`~repro.cluster.simulation.SimulationSeries` and keeps the
+  service pools whole, as the oracle does; :class:`StreamedSink`
+  (``engine="streaming"``) folds each chunk into
+  a :class:`StreamedSeries`: tick series as running per-tick counts,
+  latency percentiles via the mergeable
   :class:`~repro.sim.stats.QuantileSketch`, per-bucket latency sums and
-  per-reason drop counters.  Completions are folded in the *canonical*
-  order (completion time, start order) — the order the materialized
-  series arrays hold — so the float64 bucket sums are bit-identical
-  regardless of how the fold was chunked (``np.add.at`` applies
-  repeated-index updates sequentially in index order).
+  per-reason drop counters.  Completions are handed over in the
+  *canonical* order (completion time, start order) — the order the
+  materialized series arrays hold — so the float64 bucket sums are
+  bit-identical regardless of how the fold was chunked (``np.add.at``
+  applies repeated-index updates sequentially in index order).
 
 Bit-identity contract: for every engine family, a streamed run and
 :meth:`StreamedSeries.from_series` over the corresponding materialized
@@ -52,26 +50,17 @@ end state, for any ``chunk_requests`` — enforced by
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
-from heapq import heapify, heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cluster.fast_engine import (
-    _CAPACITY_MARGIN,
-    _CHUNK_MAX,
-    _CHUNK_MIN,
-    _ServicePools,
-    sample_tick_times,
-)
-from repro.cluster.faults import DROP_REASONS, REASON_QUEUE_FULL
-from repro.errors import ConfigurationError, SchedulingError, SimulationError
+from repro.cluster.faults import DROP_REASONS
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim.stats import QuantileSketch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.cluster.schedulers import KeyedPolicy
-    from repro.cluster.simulation import RackSimulation, SimulationSeries
+    from repro.cluster.fast_engine import _ServicePools
+    from repro.cluster.simulation import SimulationSeries
 
 _INF = float("inf")
 
@@ -79,56 +68,6 @@ _INF = float("inf")
 # per-chunk Python overhead, small enough that per-chunk buffers stay a
 # rounding error next to the engines' own working state.
 _DEFAULT_CHUNK_REQUESTS = 65_536
-
-# Completion-fold flush floor: flushes cost a lexsort over the buffer,
-# so tiny chunk sizes still amortise over at least this many entries —
-# while keeping the working set proportional to ``chunk_requests``, not
-# to a fixed 64k plateau (the constant-memory contract the streaming
-# benchmark asserts).  Flush frequency never affects results: every
-# flush emits a canonical-order prefix.
-_FOLD_MIN = 4096
-
-
-class _TickHist:
-    """Running histogram over the sample-tick grid.
-
-    The materialized engines rebuild each tick series at the end with
-    ``np.searchsorted`` over full event-time arrays.  This is the
-    constant-memory equivalent: each event adds ``delta`` at the index
-    of the first tick that observes it, and :meth:`series` is the
-    cumulative sum — identical values without retaining any event.
-
-    ``inclusive`` events are visible at an equal-time tick (the
-    engines' ``side="right"`` count); non-inclusive events are not
-    (``side="left"``).
-    """
-
-    __slots__ = ("_ticks", "_ticks_list", "_hist")
-
-    def __init__(self, ticks: np.ndarray) -> None:
-        self._ticks = ticks
-        self._ticks_list = ticks.tolist()
-        # One overflow cell for events past the last tick.
-        self._hist = np.zeros(len(ticks) + 1, dtype=np.int64)
-
-    def add(self, t: float, inclusive: bool, delta: int = 1) -> None:
-        if inclusive:
-            idx = bisect_left(self._ticks_list, t)
-        else:
-            idx = bisect_right(self._ticks_list, t)
-        self._hist[idx] += delta
-
-    def add_batch(
-        self, times: np.ndarray, inclusive: bool, delta: int = 1
-    ) -> None:
-        if len(times) == 0:
-            return
-        side = "left" if inclusive else "right"
-        idx = np.searchsorted(self._ticks, times, side=side)
-        np.add.at(self._hist, idx, delta)
-
-    def series(self) -> np.ndarray:
-        return np.cumsum(self._hist[:-1])
 
 
 class StreamedSeries:
@@ -143,11 +82,11 @@ class StreamedSeries:
     config matches the fleet layer's, so per-rack streaming sketches
     merge straight into fleet percentiles).
 
-    Built either by a streaming engine (fold as the run progresses) or
-    from a finished materialized run via :meth:`from_series` — the
-    "streaming constructor" — which replays the per-request arrays
-    through the identical fold, making the two bit-comparable with
-    :meth:`identical_to`.
+    Built either by a :class:`StreamedSink` (folded chunk by chunk as
+    the run progresses) or from a finished materialized run via
+    :meth:`from_series` — the "streaming constructor" — which replays
+    the per-request arrays through the identical fold, making the two
+    bit-comparable with :meth:`identical_to`.
     """
 
     def __init__(
@@ -255,16 +194,6 @@ class StreamedSeries:
         )
         self.dropped_requests += int(times.size)
         self._last_drop = max(self._last_drop, float(times.max()))
-
-    def fold_drop(self, t: float, reason: int) -> None:
-        """Scalar drop fold (the serial engine paths drop one by one)."""
-        idx = int(t / self.bucket_seconds)
-        drops = self._grow("_drop_counts", idx + 1)
-        drops[idx] += 1
-        self.drop_reason_counts[reason] += 1
-        self.dropped_requests += 1
-        if t > self._last_drop:
-            self._last_drop = t
 
     def finalize(self) -> "StreamedSeries":
         """Clamp the per-bucket accumulators to the run's horizon.
@@ -463,84 +392,6 @@ class StreamedSeries:
         )
 
 
-class _CompletionFold:
-    """Bounded buffer emitting completions to a series in canonical order.
-
-    The FCFS and keyed ports emit at *admission/start* in start order,
-    where completions are not sorted.  The engine flushes with a
-    watermark no future completion can undercut (``min(next arrival,
-    pending heap min)``); a stable sort then emits exactly the canonical
-    prefix below it and carries the rest.
-    """
-
-    __slots__ = ("_series", "_limit", "_parts", "_scalars", "_scalar_lats",
-                 "_count")
-
-    def __init__(self, series: StreamedSeries, limit: int) -> None:
-        self._series = series
-        self._limit = max(int(limit), 1)
-        # Batch emissions park their arrays as-is (zero per-element
-        # cost); scalar emissions accumulate in lists and spill to an
-        # array part when a batch follows, preserving append order.
-        self._parts: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._scalars: List[float] = []
-        self._scalar_lats: List[float] = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def emit(self, comp: float, lat: float) -> None:
-        self._scalars.append(comp)
-        self._scalar_lats.append(lat)
-        self._count += 1
-
-    def emit_batch(self, comps: np.ndarray, lats: np.ndarray) -> None:
-        if self._scalars:
-            self._spill()
-        self._parts.append((comps, lats))
-        self._count += len(comps)
-
-    def _spill(self) -> None:
-        self._parts.append(
-            (np.asarray(self._scalars), np.asarray(self._scalar_lats))
-        )
-        self._scalars = []
-        self._scalar_lats = []
-
-    def flush(self, watermark: float) -> None:
-        if self._count == 0:
-            return
-        if self._scalars:
-            self._spill()
-        if len(self._parts) == 1:
-            comps, lats = self._parts[0]
-        else:
-            comps = np.concatenate([part[0] for part in self._parts])
-            lats = np.concatenate([part[1] for part in self._parts])
-        # Stable sort on (completion, append order); append order is
-        # start order, the canonical tie-break.
-        order = np.lexsort((np.arange(len(comps)), comps))
-        if watermark == _INF:
-            cutoff = len(comps)
-        else:
-            cutoff = int(
-                np.searchsorted(comps[order], watermark, side="left")
-            )
-        if cutoff == 0:
-            self._parts = [(comps, lats)]
-            return
-        take = order[:cutoff]
-        self._series.fold_completions(comps[take], lats[take])
-        keep = np.sort(order[cutoff:])
-        self._parts = [(comps[keep], lats[keep])]
-        self._count = len(keep)
-
-
 def trace_chunks(
     source, chunk_requests: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -569,464 +420,28 @@ def trace_chunks(
         yield arr, ids
 
 
-class _ChunkCursor:
-    """One-chunk-at-a-time view of a streamed trace source.
-
-    Buffers exactly one validated chunk of :func:`trace_chunks`.
-    ``index`` is the global trace index of the next request — the
-    engines' admission sequence / ``qseq`` space.
-    """
-
-    def __init__(self, source, chunk_requests: int) -> None:
-        self._chunks = trace_chunks(source, chunk_requests)
-        self._arr = np.zeros(0)
-        self._ids = np.zeros(0, dtype=np.intp)
-        self._arr_list: List[float] = []
-        self._ids_list: List[int] = []
-        self._pos = 0
-        self._base = 0
-        self._exhausted = False
-
-    def _refill(self) -> None:
-        if self._exhausted or self._pos < len(self._arr_list):
-            return
-        self._base += len(self._arr_list)
-        self._pos = 0
-        chunk = next(self._chunks, None)
-        if chunk is None:
-            self._arr_list = []
-            self._ids_list = []
-            self._exhausted = True
-            return
-        self._arr, self._ids = chunk
-        self._arr_list = self._arr.tolist()
-        self._ids_list = self._ids.tolist()
-
-    @property
-    def index(self) -> int:
-        """Global trace index of the next request."""
-        return self._base + self._pos
-
-    def peek_time(self) -> float:
-        """Next arrival time, or +inf when the trace is exhausted."""
-        self._refill()
-        if self._exhausted:
-            return _INF
-        return self._arr_list[self._pos]
-
-    def window(self, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Up to ``limit`` upcoming (arrivals, app ids), capped at the
-        buffered chunk's end.  Never empty unless exhausted."""
-        self._refill()
-        lo = self._pos
-        hi = min(len(self._arr_list), lo + limit)
-        return self._arr[lo:hi], self._ids[lo:hi]
-
-    def advance(self, k: int) -> None:
-        self._pos += k
-
-    def pop(self) -> Tuple[float, int]:
-        """Consume and return the next (arrival time, app id)."""
-        self._refill()
-        t = self._arr_list[self._pos]
-        app_id = self._ids_list[self._pos]
-        self._pos += 1
-        return t, app_id
-
-
-def _check_first_arrival(cursor: _ChunkCursor) -> None:
-    t0 = cursor.peek_time()
-    if t0 != _INF and t0 < 0:
-        raise SimulationError(f"event scheduled at negative time {t0}")
-
-
-def run_streaming_fcfs(
-    sim: "RackSimulation",
-    source,
-    sample_interval_seconds: float,
-    chunk_requests: int,
-) -> StreamedSeries:
-    """Streaming port of :func:`~repro.cluster.fast_engine.run_vectorized`.
-
-    Identical heaps, pass A/B/C structure, and RNG rollback; arrivals
-    come through a :class:`_ChunkCursor` window and results fold into a
-    :class:`StreamedSeries` instead of whole-trace arrays.
-    """
-    cursor = _ChunkCursor(source, chunk_requests)
-    _check_first_arrival(cursor)
-    n = source.total_requests
-    c = sim._max_instances
-    qmax = sim._queue_depth
-    capacity = c + qmax
-    serial_threshold = max(c, capacity - _CAPACITY_MARGIN)
-
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
-    pools = _ServicePools(sim, app_names)
-
-    ticks = sample_tick_times(
-        source.duration_seconds, sample_interval_seconds
-    )
-    series = StreamedSeries(
-        ticks,
-        total_requests=n,
-        engine="streaming",
-        chunk_requests=chunk_requests,
-        app_catalog=tuple(app_names),
-    )
-    imm_hist = _TickHist(ticks)
-    qarr_hist = _TickHist(ticks)
-    qstart_hist = _TickHist(ticks)
-    comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(series, max(chunk_requests, _FOLD_MIN))
-
-    avail: List[float] = [0.0] * c  # heap of server-free times
-    pending: List[float] = []  # heap of in-system completion times
-    admitted_count = 0
-    departed_count = 0
-
-    chunk_size = _CHUNK_MIN
-    next_compact = chunk_requests
-    while True:
-        now = cursor.peek_time()
-        if now == _INF:
-            break
-        if cursor.index >= next_compact:
-            # The serial kernel draws pool samples without a peek/
-            # commit cycle; compacting once per chunk of arrivals keeps
-            # consumed prefixes bounded even on serial-heavy runs.
-            pools.compact()
-            next_compact = cursor.index + chunk_requests
-        if len(fold) >= fold.limit:
-            fold.flush(min(now, pending[0]) if pending else now)
-        while pending and pending[0] < now:
-            heappop(pending)
-            departed_count += 1
-        in_system = admitted_count - departed_count
-
-        # ---- Pass C: serial steps near the admission limit ----------
-        if in_system >= serial_threshold:
-            if in_system >= capacity:
-                cursor.advance(1)
-                series.fold_drop(now, REASON_QUEUE_FULL)
-                continue
-            _, app_id = cursor.pop()
-            service = sim._service_time(app_names[app_id])
-            free = avail[0]
-            start = now if now > free else free
-            completion = start + service
-            heapreplace(avail, completion)
-            heappush(pending, completion)
-            if start <= now:
-                imm_hist.add(now, inclusive=True)
-            else:
-                qarr_hist.add(now, inclusive=True)
-                qstart_hist.add(start, inclusive=False)
-            comp_hist.add(completion, inclusive=False)
-            fold.emit(completion, completion - now)
-            admitted_count += 1
-            continue
-
-        # ---- Chunked passes -----------------------------------------
-        window_arr, window_ids = cursor.window(chunk_size)
-        hi = len(window_arr)
-        unknown = np.nonzero(~known[window_ids])[0]
-        if unknown.size:
-            if unknown[0] == 0:
-                # The queue has room, so the oracle would admit this
-                # request, draw its service time, and fail.
-                raise SchedulingError(
-                    f"unknown application {app_names[window_ids[0]]!r}"
-                )
-            hi = int(unknown[0])
-        arr = window_arr[:hi]
-        ids = window_ids[:hi]
-        m = hi
-        values, events, snapshot = pools.peek(ids)
-        pend_sorted = np.sort(np.asarray(pending))
-        dep_pend = np.searchsorted(pend_sorted, arr, side="left")
-        offsets = np.arange(m)
-
-        committed = -1  # sentinel: chunk not resolved yet
-        drop_after = False
-        avail_is_final = False
-        all_immediate = False
-
-        # ---- Pass A: contention-free chunk (all starts immediate) ---
-        if in_system < c:
-            comp_opt = arr + values
-            dep_chunk = np.searchsorted(np.sort(comp_opt), arr, side="left")
-            n_before = in_system + offsets - dep_pend - dep_chunk
-            crossing = np.nonzero(n_before >= c)[0]
-            cut = int(crossing[0]) if crossing.size else m
-            if cut > 0:
-                committed = cut
-                starts_arr = arr[:cut]
-                comps_arr = comp_opt[:cut]
-                all_immediate = True
-
-        # ---- Pass B: heap kernel with drop detection ----------------
-        if committed < 0:
-            heap = avail[:]
-            starts_l: List[float] = []
-            comps_l: List[float] = []
-            append_start = starts_l.append
-            append_comp = comps_l.append
-            for arrival_t, service_t in zip(arr.tolist(), values.tolist()):
-                free = heap[0]
-                start = arrival_t if arrival_t > free else free
-                append_start(start)
-                completion = start + service_t
-                append_comp(completion)
-                heapreplace(heap, completion)
-            comps_b = np.asarray(comps_l)
-            dep_chunk = np.searchsorted(np.sort(comps_b), arr, side="left")
-            n_before = in_system + offsets - dep_pend - dep_chunk
-            over = np.nonzero(n_before >= capacity)[0]
-            if over.size:
-                committed = int(over[0])  # first over-capacity arrival
-                drop_after = True
-            else:
-                committed = m
-                avail = heap  # final server state, already a heap
-                avail_is_final = True
-            starts_arr = np.asarray(starts_l[:committed])
-            comps_arr = comps_b[:committed]
-
-        # ---- Commit the resolved prefix -----------------------------
-        pools.commit(ids, committed, events, snapshot, n_apps)
-        pools.compact()
-        if committed:
-            arr_c = arr[:committed]
-            admitted_count += committed
-            pending.extend(comps_arr.tolist())
-            heapify(pending)
-            if not avail_is_final:
-                merged = np.concatenate([np.asarray(avail), comps_arr])
-                avail = np.partition(merged, -c)[-c:].tolist()
-                heapify(avail)
-            if all_immediate:
-                imm_hist.add_batch(arr_c, inclusive=True)
-            else:
-                immediate = starts_arr <= arr_c
-                imm_hist.add_batch(arr_c[immediate], inclusive=True)
-                qarr_hist.add_batch(arr_c[~immediate], inclusive=True)
-                qstart_hist.add_batch(
-                    starts_arr[~immediate], inclusive=False
-                )
-            comp_hist.add_batch(comps_arr, inclusive=False)
-            fold.emit_batch(comps_arr, comps_arr - arr_c)
-        cursor.advance(committed)
-        if drop_after:
-            t_drop, _ = cursor.pop()
-            series.fold_drop(t_drop, REASON_QUEUE_FULL)
-        if committed == m:
-            chunk_size = min(chunk_size * 2, _CHUNK_MAX)
-        else:
-            chunk_size = _CHUNK_MIN
-
-    fold.flush(_INF)
-    series.busy_instances = (
-        imm_hist.series() + qstart_hist.series() - comp_hist.series()
-    )
-    series.queue_depth = qarr_hist.series() - qstart_hist.series()
-    return series.finalize()
-
-
-def run_streaming_keyed(
-    sim: "RackSimulation",
-    policy: "KeyedPolicy",
-    source,
-    sample_interval_seconds: float,
-    chunk_requests: int,
-) -> StreamedSeries:
-    """Streaming port of :func:`~repro.cluster.policy_engine.run_keyed`.
-
-    Same primitive heaps, pass-A windows, keyed-dispatch kernel, and
-    batched drain (serial fallback included); telemetry folds into a
-    :class:`StreamedSeries` as the run progresses.
-    """
-    cursor = _ChunkCursor(source, chunk_requests)
-    _check_first_arrival(cursor)
-    n = source.total_requests
-    c = sim._max_instances
-    qmax = sim._queue_depth
-
-    app_names = list(source.app_catalog)
-    n_apps = len(app_names)
-    known = np.array(
-        [name in sim._applications for name in app_names], dtype=bool
-    )
-    pools = _ServicePools(sim, app_names)
-    prefixes = [policy.key.key_for(name) for name in app_names]
-
-    ticks = sample_tick_times(
-        source.duration_seconds, sample_interval_seconds
-    )
-    series = StreamedSeries(
-        ticks,
-        total_requests=n,
-        engine="streaming",
-        chunk_requests=chunk_requests,
-        app_catalog=tuple(app_names),
-    )
-    imm_hist = _TickHist(ticks)
-    qarr_hist = _TickHist(ticks)
-    qstart_hist = _TickHist(ticks)
-    comp_hist = _TickHist(ticks)
-    fold = _CompletionFold(series, max(chunk_requests, _FOLD_MIN))
-
-    pending: List[float] = []
-    queue: List[tuple] = []
-    service_time = sim._service_time
-    observe_app = policy.observe_app
-
-    def dispatch(now: float) -> None:
-        """Serve the min-key queued request on the server freed at now."""
-        entry = heappop(queue)
-        arrival_t = entry[-2]
-        service = service_time(app_names[entry[-1]])
-        completion = now + service
-        heappush(pending, completion)
-        qstart_hist.add(now, inclusive=False)
-        comp_hist.add(completion, inclusive=False)
-        fold.emit(completion, completion - arrival_t)
-
-    chunk_size = _CHUNK_MIN
-    next_compact = chunk_requests
-    while True:
-        now = cursor.peek_time()
-        if now == _INF:
-            break
-        if cursor.index >= next_compact:
-            # The keyed-dispatch kernel draws pool samples without a
-            # peek/commit cycle; compact once per chunk of arrivals.
-            pools.compact()
-            next_compact = cursor.index + chunk_requests
-        if len(fold) >= fold.limit:
-            fold.flush(min(now, pending[0]) if pending else now)
-        while pending and pending[0] < now:
-            freed_at = heappop(pending)
-            if queue:
-                dispatch(freed_at)
-        busy = len(pending)
-
-        # ---- Pass A: contention-free chunk (all starts immediate) ---
-        if not queue and busy < c:
-            window_arr, window_ids = cursor.window(chunk_size)
-            hi = len(window_arr)
-            unknown = np.nonzero(~known[window_ids])[0]
-            if unknown.size:
-                # Cut before the first unknown app; the serial step
-                # below reproduces the oracle's failure exactly.
-                hi = int(unknown[0])
-            if hi > 0:
-                arr = window_arr[:hi]
-                ids = window_ids[:hi]
-                m = hi
-                values, events, snapshot = pools.peek(ids)
-                pend_sorted = np.sort(np.asarray(pending))
-                dep_pend = np.searchsorted(pend_sorted, arr, side="left")
-                comp_opt = arr + values
-                dep_chunk = np.searchsorted(
-                    np.sort(comp_opt), arr, side="left"
-                )
-                n_before = busy + np.arange(m) - dep_pend - dep_chunk
-                crossing = np.nonzero(n_before >= c)[0]
-                cut = int(crossing[0]) if crossing.size else m
-                pools.commit(ids, cut, events, snapshot, n_apps)
-                pools.compact()
-                for committed_id in np.unique(ids[:cut]):
-                    observe_app(app_names[committed_id])
-                comps_arr = comp_opt[:cut]
-                arr_c = arr[:cut]
-                imm_hist.add_batch(arr_c, inclusive=True)
-                comp_hist.add_batch(comps_arr, inclusive=False)
-                fold.emit_batch(comps_arr, comps_arr - arr_c)
-                pending.extend(comps_arr.tolist())
-                heapify(pending)
-                cursor.advance(cut)
-                chunk_size = (
-                    min(chunk_size * 2, _CHUNK_MAX)
-                    if cut == m
-                    else _CHUNK_MIN
-                )
-                continue
-
-        # ---- Keyed dispatch kernel: one arrival, serially -----------
-        idx = cursor.index
-        _, app_id = cursor.pop()
-        if busy < c:
-            observe_app(app_names[app_id])
-            service = service_time(app_names[app_id])
-            completion = now + service
-            heappush(pending, completion)
-            imm_hist.add(now, inclusive=True)
-            comp_hist.add(completion, inclusive=False)
-            fold.emit(completion, completion - now)
-        elif len(queue) < qmax:
-            observe_app(app_names[app_id])
-            heappush(queue, prefixes[app_id] + (idx, now, app_id))
-            qarr_hist.add(now, inclusive=True)
-        else:
-            series.fold_drop(now, REASON_QUEUE_FULL)
-
-    # ---- Drain: serve the backlog in pure key order -----------------
-    if queue and pending and all(known[entry[-1]] for entry in queue):
-        backlog = sorted(queue)
-        drain_ids = np.fromiter(
-            (entry[-1] for entry in backlog),
-            dtype=np.intp,
-            count=len(backlog),
-        )
-        values, events, snapshot = pools.peek(drain_ids)
-        pools.commit(drain_ids, len(backlog), events, snapshot, n_apps)
-        for entry, service in zip(backlog, values.tolist()):
-            freed_at = pending[0]
-            completion = freed_at + service
-            heapreplace(pending, completion)
-            qstart_hist.add(freed_at, inclusive=False)
-            comp_hist.add(completion, inclusive=False)
-            fold.emit(completion, completion - entry[-2])
-        queue.clear()
-        pending.clear()
-    else:
-        # Serial fallback: an unknown app in the backlog must fail at
-        # its exact dispatch (same SchedulingError, same RNG state).
-        while pending:
-            freed_at = heappop(pending)
-            if queue:
-                dispatch(freed_at)
-
-    fold.flush(_INF)
-    series.busy_instances = (
-        imm_hist.series() + qstart_hist.series() - comp_hist.series()
-    )
-    series.queue_depth = qarr_hist.series() - qstart_hist.series()
-    return series.finalize()
-
-
 class _KernelSink:
     """Per-chunk event columns of a chunked kernel, and where they go.
 
-    The chaos and control kernels append to these typed arrays as events
-    happen (8 bytes an event, no per-event objects), and :meth:`read`
-    flushes them once per trace chunk.  Every
-    column is appended in event order, hence time-sorted, so a flush
-    turns it into per-tick counts with one ``searchsorted`` over the
-    tick grid, then hands the per-request records — completions in the
-    canonical (completion, start order) order, reasoned drops in event
-    order — to :meth:`_take`.  Subclasses differ only in :meth:`_take`
-    and :meth:`close`.
+    Every chunked kernel appends to these typed arrays as events happen
+    (8 bytes an event, no per-event objects; :meth:`extend` appends a
+    numpy batch in one copy), and :meth:`read` flushes them once per
+    trace chunk.  The tick columns are appended in event order, hence
+    time-sorted, so a flush turns each into per-tick counts with one
+    ``searchsorted`` over the tick grid.  It then hands the per-request
+    records — completions in the canonical (completion, start order)
+    order, reasoned drops in event order — to :meth:`_take`.  Subclasses
+    differ only in :meth:`_take` and :meth:`close`.
 
-    ``chunk_requests`` is the trace chunk size the kernel reads; ``None``
-    reads the whole trace as one chunk.
+    ``chunk_requests`` is the trace chunk size the kernel reads: bounded
+    under both sinks, so the columns never grow past one chunk of
+    events.  ``compact_pools`` drops consumed service-pool prefixes
+    between chunks (constant memory) instead of keeping the pools whole,
+    exactly as the oracle leaves them.
     """
 
-    chunk_requests: Optional[int] = None
+    chunk_requests = _DEFAULT_CHUNK_REQUESTS
+    compact_pools = False
 
     def open(
         self,
@@ -1040,16 +455,20 @@ class _KernelSink:
         self.app_catalog = app_catalog
         self.track_apps = track_apps
         # Busy-count columns.  ``pre`` events rank before an equal-time
-        # sample tick (visible to it), ``post`` events after it.
+        # sample tick (visible to it), ``post`` events after it.  Every
+        # kernel starts after a tick only by dispatching from the queue,
+        # so ``starts_post`` doubles as the post-tick dequeues.
         self.starts_pre = array("d")
         self.starts_post = array("d")
         self.kills = array("d")
-        # Queue-depth columns; dequeues cover dispatches, timeouts and
-        # sheds.
+        # Queue-depth columns; pre-tick dequeues cover dispatches,
+        # timeouts and sheds.
         self.enqueues = array("d")
         self.deq_pre = array("d")
-        self.deq_post = array("d")
         # Per-request records; completion times also count as departures.
+        # Kernels that record completions as they fire append them in
+        # canonical order; kernels that record them at the start append
+        # them in start order, unsorted (see :meth:`flush`).
         self.comp_times = array("d")
         self.comp_lats = array("d")
         self.comp_apps = array("q")
@@ -1058,29 +477,44 @@ class _KernelSink:
         self._busy = np.zeros(len(ticks), dtype=np.int64)
         self._queue = np.zeros(len(ticks), dtype=np.int64)
 
-    def read(self, source, pools: _ServicePools) -> Iterator[tuple]:
+    @staticmethod
+    def extend(column: array, values: np.ndarray) -> None:
+        """Append a numpy vector to ``column`` in one copy."""
+        column.frombytes(
+            np.ascontiguousarray(values, dtype=column.typecode).data.cast("B")
+        )
+
+    def read(self, source, pools: "_ServicePools") -> Iterator[tuple]:
         """``source`` as ``(base, arrivals, app ids, arrivals list, app
         ids list)`` chunks, ``base`` the global trace index of the
         chunk's first request.
 
-        Between chunks the columns are flushed and, with bounded chunks,
+        Before each chunk after the first the columns are flushed up to
+        the last arrival read so far — no later start, hence no later
+        completion, can precede it — and, with ``compact_pools``,
         consumed service-pool prefixes are compacted away, so the pools
-        stay bounded too.
+        stay bounded too.  :meth:`close` flushes the rest.
         """
-        size = self.chunk_requests or max(source.total_requests, 1)
         base = 0
-        for arr, ids in trace_chunks(source, size):
+        for arr, ids in trace_chunks(source, self.chunk_requests):
             if arr[0] < 0:
                 raise SimulationError(
                     f"event scheduled at negative time {float(arr[0])}"
                 )
+            if base:
+                self.flush(last)
+                if self.compact_pools:
+                    pools.compact()
             yield base, arr, ids, arr.tolist(), ids.tolist()
             base += len(arr)
-            self.flush()
-            if self.chunk_requests is not None:
-                pools.compact()
+            last = float(arr[-1])
 
-    def flush(self) -> None:
+    def flush(self, watermark: float = _INF) -> None:
+        """Count the columns into the tick series; hand on the records.
+
+        Completions go out in canonical order, and only those before
+        ``watermark``; the rest stay in the columns for a later flush.
+        """
         ticks = self.ticks
 
         def seen(column, side: str) -> np.ndarray:
@@ -1088,32 +522,50 @@ class _KernelSink:
             return np.searchsorted(times, ticks, side=side)
 
         comps = np.array(self.comp_times, dtype=np.float64)
+        lats = np.array(self.comp_lats, dtype=np.float64)
+        apps = (
+            np.array(self.comp_apps, dtype=np.int64)
+            if self.track_apps
+            else None
+        )
+        if np.any(comps[1:] < comps[:-1]):
+            # Recorded at the start: a stable sort restores canonical
+            # order, append (start) order breaking completion-time ties.
+            order = np.argsort(comps, kind="stable")
+            comps = comps[order]
+            lats = lats[order]
+            if apps is not None:
+                apps = apps[order]
+        cut = int(np.searchsorted(comps, watermark, side="left"))
         self._busy += (
             seen(self.starts_pre, "right")
             + seen(self.starts_post, "left")
-            - seen(comps, "left")
+            - seen(comps[:cut], "left")
             - seen(self.kills, "right")
         )
         self._queue += (
             seen(self.enqueues, "right")
             - seen(self.deq_pre, "right")
-            - seen(self.deq_post, "left")
+            - seen(self.starts_post, "left")
         )
         self._take(
-            comps,
-            np.array(self.comp_lats, dtype=np.float64),
-            np.array(self.comp_apps, dtype=np.int64)
-            if self.track_apps
-            else None,
+            comps[:cut],
+            lats[:cut],
+            None if apps is None else apps[:cut],
             np.array(self.drop_times, dtype=np.float64),
             np.array(self.drop_reasons, dtype=np.int8),
         )
         for column in (
             self.starts_pre, self.starts_post, self.kills, self.enqueues,
-            self.deq_pre, self.deq_post, self.comp_times, self.comp_lats,
-            self.comp_apps, self.drop_times, self.drop_reasons,
+            self.deq_pre, self.comp_times, self.comp_lats, self.comp_apps,
+            self.drop_times, self.drop_reasons,
         ):
             del column[:]
+        if cut < len(comps):
+            self.extend(self.comp_times, comps[cut:])
+            self.extend(self.comp_lats, lats[cut:])
+            if apps is not None:
+                self.extend(self.comp_apps, apps[cut:])
 
     def _take(self, times, lats, apps, drop_times, drop_reasons) -> None:
         raise NotImplementedError
@@ -1125,9 +577,8 @@ class _KernelSink:
 
 
 class SeriesSink(_KernelSink):
-    """``engine="vectorized"``: the whole trace as one chunk, records
-    concatenated into a :class:`~repro.cluster.simulation.SimulationSeries`.
-    """
+    """``engine="vectorized"``: records of every chunk concatenated into
+    a :class:`~repro.cluster.simulation.SimulationSeries`."""
 
     def __init__(self) -> None:
         self._parts: List[tuple] = []
@@ -1162,8 +613,10 @@ class SeriesSink(_KernelSink):
 
 
 class StreamedSink(_KernelSink):
-    """``engine="streaming"``: bounded chunks of ``chunk_requests``,
-    records folded into a :class:`StreamedSeries` once per chunk."""
+    """``engine="streaming"``: chunks of ``chunk_requests``, records
+    folded into a :class:`StreamedSeries` once per chunk."""
+
+    compact_pools = True
 
     def __init__(self, chunk_requests: int) -> None:
         self.chunk_requests = chunk_requests

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +58,12 @@ class RequestTrace:
             raise ConfigurationError(
                 f"invalid trace duration: {self.duration_seconds}"
             )
+        # Non-finite arrivals likewise pass ordering checks and then
+        # break the engines (lost requests, NaN latencies).
+        arrivals = np.asarray(self.arrival_seconds, dtype=np.float64)
+        if not np.isfinite(arrivals).all():
+            bad = arrivals[~np.isfinite(arrivals)][0]
+            raise ConfigurationError(f"invalid trace arrival: {bad}")
 
     def __len__(self) -> int:
         return len(self.arrival_seconds)
@@ -77,11 +84,10 @@ class RequestTrace:
         return counts / bucket_seconds
 
     # ------------------------------------------------- streaming protocol
-    @property
+    @cached_property
     def app_catalog(self) -> Tuple[str, ...]:
         """Unique app names in first-appearance order (the id space of
-        :meth:`chunks`) — the same catalog order every vectorized engine
-        derives via ``dict.fromkeys``."""
+        :meth:`chunks` and of every chunked kernel)."""
         return tuple(dict.fromkeys(self.app_names))
 
     @property

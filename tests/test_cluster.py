@@ -239,6 +239,24 @@ class TestTraceValidation:
                 duration_seconds=duration,
             )
 
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            [0.5, 1.0, float("inf")],
+            [0.5, float("nan"), 1.0],
+            [float("-inf"), 0.5, 1.0],
+        ],
+    )
+    def test_non_finite_arrival_rejected(self, arrivals):
+        from repro.cluster.trace import RequestTrace
+
+        with pytest.raises(ConfigurationError, match="arrival"):
+            RequestTrace(
+                arrival_seconds=np.array(arrivals),
+                app_names=("f", "f", "f"),
+                duration_seconds=2.0,
+            )
+
     def test_mismatched_lengths_rejected(self):
         from repro.cluster.trace import RequestTrace
 

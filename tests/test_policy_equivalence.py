@@ -13,8 +13,8 @@ state — across seeds, platforms, and congestion/drop regimes.
 import numpy as np
 import pytest
 
-from repro.cluster import simulation as simulation_module
-from repro.cluster.policy_engine import run_keyed
+from repro.cluster import policy_engine
+from repro.cluster.policy_engine import run_keyed_chunked
 from repro.cluster.schedulers import PolicyFactory
 from repro.cluster.simulation import RackSimulation
 from repro.cluster.trace import RequestTrace, TraceGenerator
@@ -188,21 +188,28 @@ def test_engines_identical_across_repeated_runs(suite, models, estimates):
 def test_vectorized_keyed_policy_uses_keyed_engine(
     suite, models, estimates, monkeypatch
 ):
-    """Non-FCFS + sorted trace must actually route to run_keyed."""
+    """Non-FCFS + sorted trace must actually route to the keyed kernel,
+    with a SeriesSink under engine="auto" and a StreamedSink under
+    engine="streaming"."""
+    from repro.cluster.streaming import SeriesSink, StreamedSink
+
     calls = []
 
-    def spying_run_keyed(sim, policy, trace, interval):
-        calls.append(policy.key.name)
-        return run_keyed(sim, policy, trace, interval)
+    def spying_run_keyed_chunked(sim, policy, trace, interval, sink):
+        calls.append((policy.key.name, type(sink)))
+        return run_keyed_chunked(sim, policy, trace, interval, sink)
 
-    monkeypatch.setattr(simulation_module, "run_keyed", spying_run_keyed)
+    monkeypatch.setattr(
+        policy_engine, "run_keyed_chunked", spying_run_keyed_chunked
+    )
     trace = make_trace(suite, 0.02, 3)
     factory = make_factory("sjf", suite, estimates)
-    sim = RackSimulation(
-        models["baseline"], suite, max_instances=2, seed=3, policy=factory
-    )
-    sim.run(trace)  # engine defaults to "auto"
-    assert calls == ["sjf"]
+    for engine in ("auto", "streaming"):
+        sim = RackSimulation(
+            models["baseline"], suite, max_instances=2, seed=3, policy=factory
+        )
+        sim.run(trace, engine=engine)
+    assert calls == [("sjf", SeriesSink), ("sjf", StreamedSink)]
 
 
 def test_unsorted_trace_still_falls_back_to_event(suite, models, estimates):
@@ -354,3 +361,77 @@ def test_keyed_run_on_unknown_application_raises(suite, models, estimates):
         )
         with pytest.raises(SchedulingError):
             sim.run(trace, engine=engine)
+
+
+def test_keyed_grid_reproduces_bench_policy_hash():
+    """The ``BENCH_policy.json`` study — sjf / criticality / dag on both
+    platforms, fig13 rate x0.5, 100 instances, seed 13 — must reproduce
+    its recorded check hash on the vectorized keyed kernel (the grid and
+    digest of ``scripts/bench_policy.py``)."""
+    import json
+    from pathlib import Path
+
+    from repro.cluster.fleet_engine import digest
+    from repro.cluster.sweep import (
+        default_criticality_priorities,
+        service_estimates_for,
+    )
+    from repro.cluster.trace import DEFAULT_RATE_ENVELOPE
+    from repro.experiments.common import (
+        BASELINE_NAME,
+        DSCS_NAME,
+        build_context,
+    )
+
+    bench_path = Path(__file__).resolve().parent.parent / "BENCH_policy.json"
+    recorded = json.loads(bench_path.read_text())
+    workload = recorded["workload"]
+    context = build_context(platform_names=[BASELINE_NAME, DSCS_NAME])
+    envelope = tuple(
+        rate * workload["rate_scale"] for rate in DEFAULT_RATE_ENVELOPE
+    )
+    trace = TraceGenerator(context.app_names, rate_envelope=envelope).generate(
+        np.random.default_rng(13)
+    )
+    assert len(trace) == workload["num_requests"]
+    estimates = {
+        platform: service_estimates_for(context, platform)
+        for platform in (BASELINE_NAME, DSCS_NAME)
+    }
+    factories = {
+        "sjf": lambda platform: PolicyFactory(
+            "sjf", service_estimates=estimates[platform]
+        ),
+        "criticality": lambda platform: PolicyFactory(
+            "criticality", priorities=default_criticality_priorities(context)
+        ),
+        "dag": lambda platform: PolicyFactory(
+            "dag", applications=context.applications
+        ),
+    }
+    parts = []
+    for platform, policy in sorted(
+        (platform, policy)
+        for platform in (BASELINE_NAME, DSCS_NAME)
+        for policy in workload["policies"]
+    ):
+        series = RackSimulation(
+            context.models[platform],
+            context.applications,
+            max_instances=workload["max_instances"],
+            seed=13,
+            policy=factories[policy](platform),
+        ).run(trace, engine="vectorized")
+        parts.extend(
+            [
+                platform,
+                policy,
+                series.completed_latency_seconds.tobytes(),
+                series.completed_times.tobytes(),
+                series.queue_depth.tobytes(),
+                series.busy_instances.tobytes(),
+                series.dropped_requests,
+                series.total_requests,
+            ]
+        )
+    assert digest(*parts) == recorded["check_hash"]
