@@ -12,6 +12,7 @@ import time
 
 from conftest import print_table
 
+from repro.compiler.executable import shared_program_cache
 from repro.dse.explorer import DSEExplorer
 from repro.dse.space import design_space
 from repro.models.zoo import mlp, resnet50
@@ -41,6 +42,8 @@ def test_packed_sweep_beats_scalar(benchmark):
     fast_explorer = DSEExplorer(eval_models=_eval_models())
 
     scalar_results, scalar_s = _timed_sweep(scalar_explorer, configs)
+    # Time real simulation, not reports memoized by earlier tests.
+    shared_program_cache().clear()
     fast_results, fast_s = benchmark.pedantic(
         lambda: _timed_sweep(fast_explorer, configs), rounds=1, iterations=1
     )

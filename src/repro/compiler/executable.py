@@ -6,7 +6,7 @@ function in the container".  A :class:`DSAExecutable` is that package; its
 :meth:`simulate` runs the cycle simulator, memoised because serverless
 platforms execute the same function image many times.
 
-Two sweep-scale optimisations live here:
+Three sweep-scale optimisations live here:
 
 - executables carry a columnar :class:`~repro.accelerator.packed
   .PackedProgram` and simulate through the vectorized engine by default
@@ -15,7 +15,11 @@ Two sweep-scale optimisations live here:
 - a process-wide :class:`ProgramCache` keyed by ``(graph fingerprint,
   tiling-relevant config fields)`` lets design points that share tiling —
   e.g. the three memory technologies at one array/buffer geometry — reuse
-  both compilation and packing.
+  both compilation and packing;
+- the same cache's cycle-report memo (:meth:`ProgramCache.report`) keyed
+  by ``(graph fingerprint, full config)`` simulates each design point once
+  per process, however many figures, explorers and platform instances
+  ask for it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.accelerator.config import DSAConfig
 from repro.accelerator.isa import Program
@@ -56,6 +60,12 @@ class ProgramCache:
     full :class:`Program` on demand.  Bounded by entry count *and* total
     packed rows so million-instruction small-dim programs cannot grow
     memory without limit.
+
+    :meth:`report` memoizes the packed-engine :class:`ExecutionReport`
+    per ``(graph.fingerprint(), config)`` — the whole config, since memory
+    technology and clock change timing but not the program.  Reports live
+    in their own dict beside the LRU entries: they are small, and evicting
+    a program must not force its design points to be re-simulated.
     """
 
     def __init__(self, maxsize: int = 256, max_rows: int = 16_000_000) -> None:
@@ -67,6 +77,7 @@ class ProgramCache:
         self._max_rows = max_rows
         self._entries: "OrderedDict[tuple, list]" = OrderedDict()
         self._rows = 0
+        self._reports: Dict[tuple, ExecutionReport] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -77,6 +88,7 @@ class ProgramCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._reports.clear()
             self._rows = 0
             self.hits = 0
             self.misses = 0
@@ -122,6 +134,27 @@ class ProgramCache:
             self.misses += 1
             self._store(key, [None, packed])
         return packed
+
+    def report(self, graph: Graph, config: DSAConfig) -> ExecutionReport:
+        """The packed-engine cycle report of ``graph`` on ``config``,
+        simulated once per process.
+
+        The key also holds the engine function itself, so a report is
+        only ever served to the engine that produced it: a wrapped or
+        substituted ``run_packed`` (a profiler, a deliberately wrong
+        engine in a check's self-test) simulates afresh instead of
+        reading reports it never computed.
+        """
+        engine = CycleSimulator.run_packed
+        key = (graph.fingerprint(), config, engine)
+        with self._lock:
+            report = self._reports.get(key)
+        if report is None:
+            packed = self.get_packed(graph, config)
+            report = engine(CycleSimulator(config), packed)
+            with self._lock:
+                report = self._reports.setdefault(key, report)
+        return report
 
     def get(
         self, graph: Graph, config: DSAConfig

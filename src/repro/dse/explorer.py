@@ -10,9 +10,12 @@ Sweep-scale performance comes from three layers:
 
 - the vectorized packed execution engine (bit-identical to the scalar
   interpreter, which remains the oracle);
-- a cross-sweep :class:`~repro.compiler.executable.ProgramCache` keyed by
-  ``(graph fingerprint, tiling-relevant config fields)`` — the three
-  memory technologies at each array/buffer geometry share one compile;
+- the process-wide :func:`~repro.compiler.executable.shared_program_cache`:
+  programs keyed by ``(graph fingerprint, tiling-relevant config fields)``
+  — the three memory technologies at each array/buffer geometry share one
+  compile — and cycle reports keyed by ``(graph fingerprint, config)``, so
+  every explorer in a process (fig07, dse, fig08) simulates a design point
+  once;
 - an optional process pool: ``sweep(configs, workers=N)`` fans candidates
   out across processes while preserving the input ordering, so results
   are deterministic regardless of worker count.
@@ -34,7 +37,10 @@ from repro.accelerator.power import PowerModel
 from repro.accelerator.scaling import scale_power
 from repro.analysis.pareto import DesignPoint2D, pareto_front_points
 from repro.accelerator.simulator import CycleSimulator
-from repro.compiler.executable import ProgramCache, compile_graph_uncached
+from repro.compiler.executable import (
+    compile_graph_uncached,
+    shared_program_cache,
+)
 from repro.compiler.packed_codegen import lower_packed
 from repro.errors import ConfigurationError
 from repro.models.graph import Graph
@@ -93,7 +99,9 @@ class DSEExplorer:
         simulation path (``"packed"`` fast engine or the ``"scalar"``
         reference oracle; both are bit-identical).  ``cache_programs``
         disables the cross-sweep compiled-program cache when False —
-        benchmarks use that to measure the cold-compile baseline."""
+        benchmarks use that to measure the cold-compile baseline, and
+        neither it nor the scalar engine reads or fills the shared
+        cycle-report memo."""
         if power_budget_watts <= 0:
             raise ConfigurationError("non-positive power budget")
         if engine not in ("packed", "scalar"):
@@ -106,21 +114,13 @@ class DSEExplorer:
         # encode frequency or tech node, so they can alias design points.
         self._cache: Dict[DSAConfig, DesignPointResult] = {}
         self._cache_programs = cache_programs
-        self._programs = ProgramCache()
 
     def __getstate__(self):
-        # Sweep workers receive a lean copy: result/program caches are
-        # per-process (and re-shipping compiled programs would dwarf the
-        # configs being evaluated).
+        # Sweep workers receive a lean copy: the result cache is folded
+        # back by the parent, not shipped out.
         state = dict(self.__dict__)
         state["_cache"] = {}
-        state["_programs"] = None
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self._programs is None:
-            self._programs = ProgramCache()
 
     @property
     def eval_models(self) -> List[Graph]:
@@ -135,16 +135,17 @@ class DSEExplorer:
         dynamic_j = 0.0
         fps_values = []
         power_model = PowerModel(config)
-        simulator = CycleSimulator(config)
         for graph in self._models:
             if self._engine == "packed":
                 # Fast path: direct graph -> columns lowering (no Python
-                # instruction objects), shared across configs via tiling key.
+                # instruction objects).  Cached, it is one report per
+                # (graph, config) for the whole process.
                 if self._cache_programs:
-                    packed = self._programs.get_packed(graph, config)
+                    report = shared_program_cache().report(graph, config)
                 else:
-                    packed = lower_packed(graph, config)
-                report = simulator.run_packed(packed)
+                    report = CycleSimulator(config).run_packed(
+                        lower_packed(graph, config)
+                    )
             else:
                 executable = compile_graph_uncached(graph, config)
                 report = executable.simulate(engine="scalar")

@@ -70,11 +70,11 @@ def build_context(
 ) -> SuiteContext:
     """Build the benchmark suite plus execution models for the platforms.
 
-    DSA-backed platforms compile benchmark graphs through the process-wide
-    :func:`~repro.compiler.executable.shared_program_cache` and simulate
-    with the vectorized packed engine, so repeated context builds (one per
-    figure harness) reuse compilation: the graph fingerprint is
-    content-based, and freshly rebuilt suites hash to the same programs.
+    DSA-backed platforms take their cycle reports from the process-wide
+    :func:`~repro.compiler.executable.shared_program_cache`, so repeated
+    context builds (one per figure harness) reuse compilation and
+    simulation: the graph fingerprint is content-based, and freshly
+    rebuilt suites hash to the same programs and reports.
     """
     fabric = fabric or StorageFabric()
     names = list(platform_names) if platform_names else list(PLATFORM_BUILDERS)

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 from repro.accelerator.config import DSAConfig
 from repro.accelerator.power import PowerModel
 from repro.accelerator.simulator import ExecutionReport
-from repro.compiler.executable import compile_graph
+from repro.compiler.executable import shared_program_cache
 from repro.errors import ConfigurationError
 from repro.models.graph import Graph
 from repro.platforms.base import ComputePlatform, PlatformKind
@@ -51,11 +51,12 @@ class DSAPlatform(ComputePlatform):
     def _report(self, graph: Graph, batch: int) -> ExecutionReport:
         key = (graph.name, batch)
         if key not in self._cache:
-            batched = graph.with_batch(batch)
-            # Shared program cache + packed engine: platform instances that
-            # agree on tiling (and repeated context builds) compile once.
-            executable = compile_graph(batched, self.dsa_config)
-            self._cache[key] = executable.simulate(engine="packed")
+            # The shared cycle-report memo: platform instances with an equal
+            # config (and repeated context builds) lower and simulate each
+            # graph once per process.
+            self._cache[key] = shared_program_cache().report(
+                graph.with_batch(batch), self.dsa_config
+            )
         return self._cache[key]
 
     def compute_latency_seconds(self, graph: Graph, batch: int = 1) -> float:

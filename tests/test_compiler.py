@@ -244,6 +244,67 @@ class TestProgramCache:
         assert tiling_key(base) != tiling_key(DSAConfig(buffer_bytes=8 * MB))
 
 
+class TestReportMemo:
+    def test_memory_technologies_get_distinct_exact_reports(self):
+        from repro.accelerator.config import DDR4, DDR5, HBM2
+        from repro.compiler import ProgramCache, compile_graph_uncached
+
+        cache = ProgramCache()
+        graph = simple_graph()
+        configs = [DSAConfig(memory=memory) for memory in (DDR4, DDR5, HBM2)]
+        reports = [cache.report(graph, config) for config in configs]
+        # One shared program, but the memo is keyed by the whole config.
+        assert len(cache) == 1
+        assert len({r.latency_s for r in reports}) == 3
+        for config, report in zip(configs, reports):
+            oracle = compile_graph_uncached(graph, config).simulate(
+                engine="scalar"
+            )
+            assert report == oracle
+            assert cache.report(graph, config) is report
+
+    def test_report_survives_program_eviction(self):
+        from repro.compiler import ProgramCache
+
+        cache = ProgramCache(maxsize=1)
+        graph = simple_graph()
+        small = DSAConfig(pe_rows=16, pe_cols=16)
+        first = cache.report(graph, small)
+        cache.report(graph, DSAConfig(pe_rows=32, pe_cols=32))
+        assert len(cache) == 1  # the 16x16 program was evicted
+        assert cache.report(graph, small) is first
+
+    def test_clear_drops_reports(self):
+        from repro.compiler import ProgramCache
+
+        cache = ProgramCache()
+        first = cache.report(simple_graph(), DSAConfig())
+        cache.clear()
+        again = cache.report(simple_graph(), DSAConfig())
+        assert again == first
+        assert again is not first
+
+    def test_swapped_engine_does_not_read_memo(self, monkeypatch):
+        import dataclasses
+
+        from repro.accelerator.simulator import CycleSimulator
+        from repro.compiler import ProgramCache
+
+        cache = ProgramCache()
+        right = cache.report(simple_graph(), DSAConfig())
+        original = CycleSimulator.run_packed
+
+        def one_cycle_off(simulator, program):
+            report = original(simulator, program)
+            return dataclasses.replace(report, cycles=report.cycles + 1)
+
+        monkeypatch.setattr(CycleSimulator, "run_packed", one_cycle_off)
+        wrong = cache.report(simple_graph(), DSAConfig())
+        assert wrong.cycles == right.cycles + 1
+        monkeypatch.undo()
+        assert cache.report(simple_graph(), DSAConfig()) is right
+
+
 class TestGraphFingerprint:
     def test_stable_across_rebuilds(self):
         assert simple_graph().fingerprint() == simple_graph().fingerprint()

@@ -1,8 +1,14 @@
 """Design-space enumeration and exploration (paper §4.2)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.accelerator.config import DSAConfig
+from repro.accelerator.simulator import CycleSimulator
+from repro.cluster.fleet_engine import digest
+from repro.compiler.executable import ProgramCache, shared_program_cache
 from repro.dse.explorer import DSEExplorer
 from repro.dse.space import design_space, paper_search_space_size
 from repro.errors import ConfigurationError
@@ -120,6 +126,8 @@ class TestParallelSweep:
     def test_parallel_matches_serial(self):
         configs = [DSAConfig(pe_rows=d, pe_cols=d) for d in (8, 16, 32, 64)]
         serial = tiny_explorer().sweep(configs)
+        # Forked workers would inherit the serial sweep's cycle reports.
+        shared_program_cache().clear()
         parallel = tiny_explorer().sweep(configs, workers=2)
         assert [r.label for r in parallel] == [r.label for r in serial]
         for a, b in zip(serial, parallel):
@@ -141,6 +149,7 @@ class TestParallelSweep:
         """Results are a pure function of configs — not of the pool size."""
         configs = [DSAConfig(pe_rows=d, pe_cols=d) for d in (8, 16, 32, 64)]
         one = tiny_explorer().sweep(configs, workers=1)
+        shared_program_cache().clear()
         four = tiny_explorer().sweep(configs, workers=4)
         assert one == four
 
@@ -161,3 +170,56 @@ class TestParallelSweep:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             DSEExplorer(engine="quantum")
+
+
+class TestReportMemo:
+    """Explorers share the process-wide cycle-report memo."""
+
+    CONFIGS = [DSAConfig(pe_rows=d, pe_cols=d) for d in (8, 16)]
+
+    def test_second_explorer_simulates_nothing(self, monkeypatch):
+        calls = []
+        original = CycleSimulator.run_packed
+
+        def counting(simulator, program):
+            calls.append(simulator)
+            return original(simulator, program)
+
+        monkeypatch.setattr(CycleSimulator, "run_packed", counting)
+        first = tiny_explorer().sweep(self.CONFIGS)
+        assert len(calls) == len(self.CONFIGS) * 2
+        calls.clear()
+        assert tiny_explorer().sweep(self.CONFIGS) == first
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"cache_programs": False}, {"engine": "scalar"}],
+        ids=["uncached", "scalar"],
+    )
+    def test_oracle_paths_bypass_memo(self, monkeypatch, options):
+        lookups = []
+        original = ProgramCache.report
+
+        def spying(cache, graph, config):
+            lookups.append(config)
+            return original(cache, graph, config)
+
+        monkeypatch.setattr(ProgramCache, "report", spying)
+        programs = len(shared_program_cache())
+        explorer = DSEExplorer(eval_models=tiny_explorer().eval_models, **options)
+        explorer.sweep(self.CONFIGS)
+        assert lookups == []
+        assert len(shared_program_cache()) == programs
+
+
+def test_square_sweep_reproduces_bench_sweep_hash():
+    """The fig07 square-array sweep, simulated cold, must reproduce the
+    recorded ``BENCH_sweep.json`` check hash."""
+    bench_path = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+    recorded = json.loads(bench_path.read_text())
+    configs = design_space(square_only=True)
+    assert len(configs) == recorded["workload"]["num_configs"] == 111
+    shared_program_cache().clear()
+    results = DSEExplorer().sweep(configs)
+    assert digest(results) == recorded["check_hash"]
